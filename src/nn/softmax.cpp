@@ -1,37 +1,38 @@
 #include "nn/softmax.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
 
 namespace vsq {
 
+void softmax_row_inplace(float* row, std::int64_t d) {
+  float m = row[0];
+  for (std::int64_t c = 1; c < d; ++c) m = std::max(m, row[c]);
+  // A fully-masked row (every score -inf, e.g. a padded query position
+  // attending over nothing) would compute exp(-inf - -inf) = NaN and
+  // 0/0 below. Define its softmax as all zeros: pad positions carry no
+  // probability mass instead of poisoning downstream GEMMs with NaN.
+  if (m == -std::numeric_limits<float>::infinity()) {
+    for (std::int64_t c = 0; c < d; ++c) row[c] = 0.0f;
+    return;
+  }
+  float sum = 0.0f;
+  for (std::int64_t c = 0; c < d; ++c) {
+    row[c] = std::exp(row[c] - m);
+    sum += row[c];
+  }
+  const float inv = 1.0f / sum;
+  for (std::int64_t c = 0; c < d; ++c) row[c] *= inv;
+}
+
 Tensor softmax_last_axis(const Tensor& x) {
   const Shape& s = x.shape();
   const std::int64_t d = s[s.rank() - 1];
   const std::int64_t rows = x.numel() / d;
-  Tensor y(x.shape());
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float* xr = x.data() + r * d;
-    float* yr = y.data() + r * d;
-    float m = xr[0];
-    for (std::int64_t c = 1; c < d; ++c) m = std::max(m, xr[c]);
-    // A fully-masked row (every score -inf, e.g. a padded query position
-    // attending over nothing) would compute exp(-inf - -inf) = NaN and
-    // 0/0 below. Define its softmax as all zeros: pad positions carry no
-    // probability mass instead of poisoning downstream GEMMs with NaN.
-    if (m == -std::numeric_limits<float>::infinity()) {
-      for (std::int64_t c = 0; c < d; ++c) yr[c] = 0.0f;
-      continue;
-    }
-    float sum = 0.0f;
-    for (std::int64_t c = 0; c < d; ++c) {
-      yr[c] = std::exp(xr[c] - m);
-      sum += yr[c];
-    }
-    const float inv = 1.0f / sum;
-    for (std::int64_t c = 0; c < d; ++c) yr[c] *= inv;
-  }
+  Tensor y = x.clone();
+  for (std::int64_t r = 0; r < rows; ++r) softmax_row_inplace(y.data() + r * d, d);
   return y;
 }
 

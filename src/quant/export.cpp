@@ -16,6 +16,7 @@
 #include "quant/int_kernel.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
+#include "util/scratch.h"
 
 namespace vsq {
 namespace {
@@ -719,32 +720,34 @@ Tensor gelu_exec(const Tensor& x) {
   return y;
 }
 
-// Per-sample true-length multi-head attention. Sample r's tokens occupy
-// rows [r*t, r*t + lens[r]) of the flattened [rows*t, d] q/k/v
-// projections; its scores, softmax and context reduce over exactly
-// lens[r] positions — the same GEMM shapes a sequential [1, lens[r]] call
-// makes — so batched results are bit-identical to sequential execution by
-// construction (padding to t never lengthens a reduction axis, which
-// would regroup the blocked kernels' partial sums). Pad rows stay zero.
+// Per-sample true-length multi-head attention over packed rows. Sample
+// r's tokens occupy rows [off[r], off[r+1]) of the [n, d] q/k/v
+// projections; its scores, softmax and context reduce over exactly its
+// own positions — the same GEMM shapes a sequential [1, L] call makes —
+// so batched results are bit-identical to sequential execution by
+// construction (a reduction axis never spans another sample or a pad
+// position, which would regroup the blocked kernels' partial sums). Rows
+// past off.back() (the shared pad row) stay zero. The per-head score
+// matrix is softmaxed in place in this thread's ScratchArena.
 Tensor attention_context(const Tensor& q, const Tensor& k, const Tensor& v,
-                         const std::vector<std::int64_t>& lens, std::int64_t t,
-                         std::int64_t d, std::int64_t heads) {
-  const auto rows = static_cast<std::int64_t>(lens.size());
+                         const std::vector<std::int64_t>& off, std::int64_t d,
+                         std::int64_t heads) {
   const std::int64_t dh = d / heads;
   const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(dh));
-  Tensor ctx(Shape{rows * t, d});  // zero-initialized: pad rows stay zero
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const std::int64_t l = lens[r];
+  Tensor ctx(Shape{q.shape()[0], d});  // zero-initialized: the pad row stays zero
+  std::int64_t lmax = 0;
+  for (std::size_t r = 0; r + 1 < off.size(); ++r) lmax = std::max(lmax, off[r + 1] - off[r]);
+  ScratchArena& arena = ScratchArena::thread_local_arena();
+  ScratchRegion region(arena);
+  float* scores = arena.alloc_n<float>(static_cast<std::size_t>(lmax * lmax));
+  for (std::size_t r = 0; r + 1 < off.size(); ++r) {
+    const std::int64_t l = off[r + 1] - off[r];
     for (std::int64_t hi = 0; hi < heads; ++hi) {
-      const float* qh = q.data() + r * t * d + hi * dh;
-      const float* kh = k.data() + r * t * d + hi * dh;
-      const float* vh = v.data() + r * t * d + hi * dh;
-      float* ch = ctx.data() + r * t * d + hi * dh;
-      Tensor scores(Shape{l, l});
-      gemm_nt_strided(qh, d, kh, d, scores.data(), l, l, l, dh);
-      for (float& s : scores.span()) s *= inv_sqrt;
-      const Tensor probs = softmax_last_axis(scores);
-      gemm_nn_strided(probs.data(), l, vh, d, ch, d, l, dh, l);
+      const std::int64_t base = off[r] * d + hi * dh;
+      gemm_nt_strided(q.data() + base, d, k.data() + base, d, scores, l, l, l, dh);
+      for (std::int64_t i = 0; i < l * l; ++i) scores[i] *= inv_sqrt;
+      for (std::int64_t i = 0; i < l; ++i) softmax_row_inplace(scores + i * l, l);
+      gemm_nn_strided(scores, l, v.data() + base, d, ctx.data() + base, d, l, dh, l);
     }
   }
   return ctx;
@@ -1066,8 +1069,9 @@ Tensor QuantizedModelRunner::forward_seq(const Tensor& x, IntGemmStats* stats) c
   // Per-row true length = the unpadded prefix before the first -1.0f
   // sentinel. Validated at the door: a malformed row (interior pad,
   // fractional or out-of-vocab id) must fail this call with a clear
-  // diagnostic, never index the embedding table.
-  std::vector<std::int64_t> lens(rows, t);
+  // diagnostic, never index the embedding table. Row r's tokens then
+  // occupy packed rows [off[r], off[r+1]).
+  std::vector<std::int64_t> off(rows + 1, 0);
   for (std::int64_t r = 0; r < rows; ++r) {
     const float* row = x.data() + r * t;
     std::int64_t l = 0;
@@ -1089,22 +1093,27 @@ Tensor QuantizedModelRunner::forward_seq(const Tensor& x, IntGemmStats* stats) c
                                     std::to_string(vocab_) + ")");
       }
     }
-    lens[r] = l;
+    off[r + 1] = off[r] + l;
   }
 
-  // Embedding lookup (always step 0): [rows, t] ids -> flattened
-  // [rows*t, D] activations, zeros at pad positions. Every later op is
-  // row-independent over this flattening (attention partitions it per
-  // sample), which is what makes batched == sequential bit-exact.
+  // Embedding lookup (always step 0) into the packed [Σlens, D]
+  // activation: padding costs no compute. Every later op is row-wise
+  // (attention partitions the rows per sample), which is what makes
+  // batched == sequential bit-exact. Every pad position of the padded
+  // batch would start from the same zero embedding and pass only through
+  // row-wise ops (attention leaves it zero), so when any row is padded one
+  // shared zero row after the real ones reproduces all of their outputs.
+  const std::int64_t real = off[rows];
+  const bool padded = real < rows * t;
   const EmbeddingPackage& e = *step_embeds_[0];
-  Tensor h(Shape{rows * t, e.dim});
+  Tensor h(Shape{real + (padded ? 1 : 0), e.dim});  // zero-initialized pad row
   for (std::int64_t r = 0; r < rows; ++r) {
     const float* row = x.data() + r * t;
-    for (std::int64_t j = 0; j < lens[r]; ++j) {
+    for (std::int64_t j = 0; j < off[r + 1] - off[r]; ++j) {
       const auto id = static_cast<std::int64_t>(row[j]);
       const float* te = e.tok.data() + id * e.dim;
       const float* pe = e.pos.data() + j * e.dim;
-      float* dst = h.data() + (r * t + j) * e.dim;
+      float* dst = h.data() + (off[r] + j) * e.dim;
       for (std::int64_t c = 0; c < e.dim; ++c) dst[c] = te[c] + pe[c];
     }
   }
@@ -1137,8 +1146,7 @@ Tensor QuantizedModelRunner::forward_seq(const Tensor& x, IntGemmStats* stats) c
         const Tensor q = p.q->execute(h, ctx);
         const Tensor k = p.k->execute(h, ctx);
         const Tensor v = p.v->execute(h, ctx);
-        h = p.out->execute(attention_context(q, k, v, lens, t, pkg_->seq_dim, pkg_->heads),
-                           ctx);
+        h = p.out->execute(attention_context(q, k, v, off, pkg_->seq_dim, pkg_->heads), ctx);
         break;
       }
       case Op::kEmbed:
@@ -1149,9 +1157,20 @@ Tensor QuantizedModelRunner::forward_seq(const Tensor& x, IntGemmStats* stats) c
     }
     if (program_[i].relu) relu_inplace(h);
   }
-  // [rows*t, out_per_token] -> [rows, t*out_per_token]; only the first
-  // lens[r]*out_per_token values of a row are meaningful.
-  return h.reshape(Shape{rows, t * out_per_token_});
+  // Unpadded, the packed rows already are [rows, t*out_per_token].
+  // Otherwise scatter: each row's real positions are contiguous in h, and
+  // every pad position gets a copy of the shared pad row.
+  const std::int64_t opt = out_per_token_;
+  if (!padded) return h.reshape(Shape{rows, t * opt});
+  Tensor y(Shape{rows, t * opt});
+  const float* pad = h.data() + real * opt;
+  for (std::int64_t r = 0; r < rows; ++r) {
+    float* dst = y.data() + r * t * opt;
+    const std::int64_t l = off[r + 1] - off[r];
+    std::copy_n(h.data() + off[r] * opt, l * opt, dst);
+    for (std::int64_t j = l; j < t; ++j) std::copy_n(pad, opt, dst + j * opt);
+  }
+  return y;
 }
 
 IntegerExecutionGuard::IntegerExecutionGuard(std::vector<QuantizableGemm*> gemms,

@@ -220,12 +220,15 @@ Tensor run_packaged_conv_layer(const QuantizedLayerPackage& layer, const Tensor&
 // Sequence (transformer) packages execute on token rows: forward() takes
 // [rows, T] token ids as floats for ANY 1 <= T <= max_seq, with shorter
 // rows padded to T by the -1.0f sentinel (suffix padding only). Each
-// row's true length L is its unpadded prefix; attention runs per sample
-// over exactly its L positions (identical GEMM shapes whether the row is
-// served alone or inside a padded batch), so batched outputs are
-// bit-identical to sequential [1, L] execution by construction. The
-// output is [rows, T * out_per_token]; only the first L * out_per_token
-// values of a row are meaningful (the serving layer slices them).
+// row's true length L is its unpadded prefix. The batch is packed to its
+// ΣL real tokens: every projection, FFN GEMM and elementwise op runs over
+// those rows only (each row carries its own per-vector activation
+// scales), and attention runs per sample over exactly its L positions, so
+// batched outputs are bit-identical to sequential [1, L] execution by
+// construction. The output is [rows, T * out_per_token]; only the first
+// L * out_per_token values of a row are meaningful (the serving layer
+// slices them). Pad positions get the output of a zero embedding, which
+// is what a padded execution would compute there.
 class QuantizedModelRunner {
  public:
   // Uses pkg.program when non-empty, else mlp_program(pkg). The package

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "fault/failpoint.h"
 
@@ -140,29 +141,18 @@ void DynamicBatcher::run_loop() {
     }
 
     const auto rows = static_cast<std::int64_t>(batch.size());
-    const bool seq = !cfg_.seq_buckets.empty();
-    std::vector<std::int64_t> lens, buckets;
+    const bool seq = cfg_.out_per_token > 0;
+    std::vector<std::int64_t> lens;
     std::int64_t t_exec = in_features_;
+    bool mixed_lengths = false;
     if (seq) {
-      // Bucket assignment: each request gets the smallest bucket covering
-      // its token count; the batch executes at its widest member bucket.
-      // Padding never changes a row's result (the runner's attention
-      // reduces over the true length), so sharing is free.
+      // The batch executes padded to its longest member.
       lens.resize(batch.size());
-      buckets.resize(batch.size());
-      t_exec = 0;
       for (std::size_t r = 0; r < batch.size(); ++r) {
         lens[r] = batch[r].input.numel();
-        std::int64_t bucket = cfg_.seq_buckets.back();
-        for (const std::int64_t w : cfg_.seq_buckets) {
-          if (w >= lens[r]) {
-            bucket = w;
-            break;
-          }
-        }
-        buckets[r] = bucket;
-        t_exec = std::max(t_exec, bucket);
+        mixed_lengths = mixed_lengths || lens[r] != lens[0];
       }
+      t_exec = *std::max_element(lens.begin(), lens.end());
     }
     Tensor x(Shape{rows, t_exec});
     if (seq) x.fill(-1.0f);  // pad sentinel; each row overwrites its prefix
@@ -195,8 +185,7 @@ void DynamicBatcher::run_loop() {
     // that wakes up and snapshots immediately still sees its own batch.
     const std::int64_t out = y.shape()[1];
     const auto done = std::chrono::steady_clock::now();
-    stats_.record_batch(batch.size());
-    if (seq) stats_.record_bucket_batch(buckets);
+    stats_.record_batch(batch.size(), mixed_lengths);
     for (Request& req : batch) {
       stats_.record_request(
           std::chrono::duration<double, std::micro>(done - req.enqueue_time).count());

@@ -17,7 +17,6 @@
 #include <span>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "serve/request_queue.h"
 #include "serve/serve_stats.h"
@@ -29,14 +28,10 @@ struct BatcherConfig {
   int max_wait_us = 0;     // linger for stragglers once a batch opens
   bool warmup = true;      // run one max_batch forward before serving so
                            // the worker's ScratchArena is preallocated
-  // Sequence serving (non-empty = sequence mode): requests are unpadded
-  // token rows of varying length; each is assigned the smallest bucket
-  // width >= its length (ascending; the last bucket must cover max_seq)
-  // and a batch executes at the widest bucket among its members with
-  // -1.0f suffix padding — a 16-token and a 128-token request share one
-  // forward pass, and bucket occupancy lands in ServeStats. out_per_token
-  // sizes the per-request output slice (row L gets L * out_per_token).
-  std::vector<std::int64_t> seq_buckets;
+  // Sequence serving (> 0 = sequence mode): requests are unpadded token
+  // rows of varying length, and a batch executes padded with the -1.0f
+  // sentinel to its longest member (the runner computes over real tokens
+  // only, so padding costs nothing). Row L gets L * out_per_token outputs.
   std::int64_t out_per_token = 0;
 };
 

@@ -65,7 +65,6 @@ ServeStatsSnapshot merge_snapshots(ServeStatsSnapshot a, const ServeStatsSnapsho
   if (a.batch_hist.size() < b.batch_hist.size()) a.batch_hist.resize(b.batch_hist.size(), 0);
   for (std::size_t i = 0; i < b.batch_hist.size(); ++i) a.batch_hist[i] += b.batch_hist[i];
   a.mean_batch = mean_batch_from_hist(a.batch_hist, a.batches);
-  for (const auto& [w, n] : b.bucket_hist) a.bucket_hist[w] += n;
   a.mixed_bucket_batches += b.mixed_bucket_batches;
   // Resident packed-panel bytes describe the loaded model, not traffic:
   // two windows of the same name serve the same (or a reloaded) model, so
@@ -249,7 +248,15 @@ std::shared_ptr<InferenceSession> ModelRegistry::session(const std::string& name
 std::future<Tensor> ModelRegistry::submit(const std::string& name, const Tensor& input) {
   const auto s = find(name);
   if (!s) throw std::out_of_range("ModelRegistry: model not loaded: " + name);
-  return s->submit(input);
+  try {
+    return s->submit(input);
+  } catch (const UnavailableError&) {
+    // A concurrent reload swapped `s` out and closed its queue between
+    // find() and submit(): the name already routes to the replacement.
+    const auto now = find(name);
+    if (!now || now == s) throw;
+    return now->submit(input);
+  }
 }
 
 Tensor ModelRegistry::infer(const std::string& name, const Tensor& input) {

@@ -17,7 +17,7 @@
 // shared_ptr-owned; submit()/infer() pin the session for the duration of
 // the call, so a concurrent unload never destroys a session mid-request —
 // the unloader drains it first (InferenceSession::shutdown), and requests
-// that arrive after the queue closed throw std::runtime_error.
+// that arrive after the queue closed throw UnavailableError.
 #pragma once
 
 #include <iosfwd>
@@ -82,8 +82,10 @@ class ModelRegistry {
   std::vector<std::string> models() const;  // sorted names
 
   // Route one request to `name`'s session. Throws std::out_of_range when
-  // the model is not loaded, std::runtime_error when it is shutting down,
-  // std::invalid_argument on a wrong input shape.
+  // the model is not loaded, UnavailableError when it is shutting down,
+  // std::invalid_argument on a wrong input shape. A request that loses a
+  // race with reload() (its session closed after the lookup) is submitted
+  // once more to the replacement, so a reload opens no service gap.
   std::future<Tensor> submit(const std::string& name, const Tensor& input);
   Tensor infer(const std::string& name, const Tensor& input);
 

@@ -57,11 +57,12 @@ void ServeStats::record_request(double latency_us, bool cache_hit) {
   last_ = now;
 }
 
-void ServeStats::record_batch(std::size_t batch_size) {
+void ServeStats::record_batch(std::size_t batch_size, bool mixed_lengths) {
   std::lock_guard lock(mu_);
   if (batch_hist_.size() <= batch_size) batch_hist_.resize(batch_size + 1, 0);
   ++batch_hist_[batch_size];
   ++batches_;
+  if (mixed_lengths) ++mixed_bucket_batches_;
 }
 
 void ServeStats::record_errors(std::uint64_t failed_requests) {
@@ -84,17 +85,6 @@ void ServeStats::record_worker_restart() {
   ++worker_restarts_;
 }
 
-void ServeStats::record_bucket_batch(const std::vector<std::int64_t>& request_buckets) {
-  if (request_buckets.empty()) return;
-  std::lock_guard lock(mu_);
-  bool mixed = false;
-  for (const std::int64_t w : request_buckets) {
-    ++bucket_hist_[w];
-    if (w != request_buckets.front()) mixed = true;
-  }
-  if (mixed) ++mixed_bucket_batches_;
-}
-
 ServeStatsSnapshot ServeStats::snapshot() const {
   std::vector<double> lat;
   ServeStatsSnapshot s;
@@ -102,7 +92,6 @@ ServeStatsSnapshot ServeStats::snapshot() const {
     std::lock_guard lock(mu_);
     lat = window_;  // percentile input order is irrelevant (sorted inside)
     s.batch_hist = batch_hist_;
-    s.bucket_hist = bucket_hist_;
     s.mixed_bucket_batches = mixed_bucket_batches_;
     s.requests = requests_;
     s.batches = batches_;
@@ -153,11 +142,6 @@ void ServeStatsSnapshot::print_table(std::ostream& os) const {
              Table::num(p95_us, 1), Table::num(p99_us, 1), Table::num(max_us, 1),
              Table::num(static_cast<double>(packed_weight_bytes) / 1024.0, 1)});
   t.print(os);
-  if (!bucket_hist.empty()) {
-    os << "sequence buckets (width: requests):";
-    for (const auto& [w, n] : bucket_hist) os << " " << w << ":" << n;
-    os << "; mixed-bucket batches: " << mixed_bucket_batches << "\n";
-  }
 }
 
 std::string ServeStatsSnapshot::json() const {
@@ -173,14 +157,7 @@ std::string ServeStatsSnapshot::json() const {
      << ",\"mean\":" << mean_us << ",\"max\":" << max_us
      << ",\"percentile_window\":" << percentile_window
      << "},\"packed_weight_bytes\":" << packed_weight_bytes
-     << ",\"mixed_bucket_batches\":" << mixed_bucket_batches << ",\"bucket_hist\":{";
-  bool first_bucket = true;
-  for (const auto& [w, n] : bucket_hist) {
-    if (!first_bucket) os << ',';
-    first_bucket = false;
-    os << "\"" << w << "\":" << n;
-  }
-  os << "},\"batch_hist\":[";
+     << ",\"mixed_bucket_batches\":" << mixed_bucket_batches << ",\"batch_hist\":[";
   for (std::size_t b = 0; b < batch_hist.size(); ++b) {
     if (b) os << ',';
     os << batch_hist[b];

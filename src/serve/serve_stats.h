@@ -15,7 +15,6 @@
 #include <chrono>
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -52,12 +51,11 @@ struct ServeStatsSnapshot {
   double mean_us = 0.0, max_us = 0.0;
   double mean_batch = 0.0;                // requests per executed batch
   std::vector<std::uint64_t> batch_hist;  // index = batch size (0 unused)
-  // Sequence-session bucket occupancy: pad-to bucket width -> requests
-  // executed at that width, and how many executed batches mixed two or
-  // more distinct bucket widths (the sequence batcher's sharing win — a
-  // short and a long request riding one forward pass). Empty/0 for
-  // non-sequence sessions. Cross-reload merges sum both.
-  std::map<std::int64_t, std::uint64_t> bucket_hist;
+  // Executed sequence batches whose rows have at least two distinct true
+  // lengths (a short and a long request riding one forward pass). 0 for
+  // non-sequence sessions; cross-reload merges sum it. The name is kept
+  // from the retired pad-bucket batcher because perfbench reads this
+  // field and its JSON key.
   std::uint64_t mixed_bucket_batches = 0;
   // Latency samples the percentiles were computed over: the sliding
   // window's occupancy, i.e. min(requests, window capacity) for a plain
@@ -100,8 +98,9 @@ class ServeStats {
   void mark_start();
   // A request completed `latency_us` after submission.
   void record_request(double latency_us, bool cache_hit = false);
-  // A batched forward pass over `batch_size` requests executed.
-  void record_batch(std::size_t batch_size);
+  // A batched forward pass over `batch_size` requests executed;
+  // `mixed_lengths` marks a sequence batch whose rows' true lengths differ.
+  void record_batch(std::size_t batch_size, bool mixed_lengths = false);
   // A batch's forward pass threw; its `failed_requests` promises carried
   // the exception.
   void record_errors(std::uint64_t failed_requests);
@@ -111,11 +110,6 @@ class ServeStats {
   void record_deadline_expired(std::uint64_t n);
   // The watchdog replaced a dead/stalled batcher worker.
   void record_worker_restart();
-  // A sequence batch executed with its requests padded to these bucket
-  // widths (one entry per request — the batch's composition). Counts each
-  // width in the bucket histogram and, when the composition holds two or
-  // more distinct widths, one mixed-bucket batch.
-  void record_bucket_batch(const std::vector<std::int64_t>& request_buckets);
 
   ServeStatsSnapshot snapshot() const;
 
@@ -130,7 +124,6 @@ class ServeStats {
   double latency_sum_us_ = 0.0;   // exact running aggregates over ALL
   double latency_max_us_ = 0.0;   // requests, window-independent
   std::vector<std::uint64_t> batch_hist_;
-  std::map<std::int64_t, std::uint64_t> bucket_hist_;
   std::uint64_t batches_ = 0, cache_hits_ = 0, errors_ = 0, shed_ = 0;
   std::uint64_t deadline_expired_ = 0, worker_restarts_ = 0;
   std::uint64_t mixed_bucket_batches_ = 0;

@@ -17,21 +17,6 @@ InferenceSession::InferenceSession(QuantizedModelPackage pkg, ServeConfig cfg)
   for (const auto& [name, prim] : runner_.primitives()) {
     packed_weight_bytes_ += static_cast<std::uint64_t>(prim.resident_bytes());
   }
-  if (runner_.seq()) {
-    // Resolve the bucket ladder once: sorted, deduplicated, positive, and
-    // always ending in max_seq so every admissible length has a bucket.
-    // Empty config -> doubling widths (8, 16, ... max_seq).
-    auto& b = cfg_.seq_buckets;
-    b.erase(std::remove_if(b.begin(), b.end(),
-                           [this](std::int64_t w) { return w < 1 || w > runner_.max_seq(); }),
-            b.end());
-    if (b.empty()) {
-      for (std::int64_t w = 8; w < runner_.max_seq(); w *= 2) b.push_back(w);
-    }
-    std::sort(b.begin(), b.end());
-    b.erase(std::unique(b.begin(), b.end()), b.end());
-    if (b.empty() || b.back() < runner_.max_seq()) b.push_back(runner_.max_seq());
-  }
   if (cfg_.cache_entries > 0) {
     // Cache entries store input || output: the key is only a 64-bit hash,
     // so hits re-verify the input bytes before trusting the stored row —
@@ -72,10 +57,7 @@ std::unique_ptr<DynamicBatcher> InferenceSession::make_batcher(bool warmup) {
   bc.max_batch = cfg_.max_batch;
   bc.max_wait_us = cfg_.max_wait_us;
   bc.warmup = warmup;
-  if (runner_.seq()) {
-    bc.seq_buckets = cfg_.seq_buckets;
-    bc.out_per_token = runner_.out_per_token();
-  }
+  bc.out_per_token = runner_.out_per_token();  // 0 (not a sequence model) or > 0
   return std::make_unique<DynamicBatcher>(queue_, batch_fn_, runner_.in_features(), bc, stats_,
                                           result_hook_);
 }
@@ -273,7 +255,7 @@ std::future<Tensor> InferenceSession::submit(const Tensor& input, Priority prior
     throw QueueFullError("InferenceSession::submit: queue full, request shed");
   }
   if (st == PushStatus::kClosed) {
-    throw std::runtime_error("InferenceSession::submit: session is shut down");
+    throw UnavailableError("InferenceSession::submit: session is shut down");
   }
   return f;
 }

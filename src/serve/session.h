@@ -70,12 +70,6 @@ struct ServeConfig {
   // Latency samples retained for percentile estimation (bounded sliding
   // window; memory per session is flat in request count).
   std::size_t latency_window = ServeStats::kDefaultLatencyWindow;
-  // Sequence models only: pad-to bucket widths for the length-aware
-  // batcher (see BatcherConfig::seq_buckets). Empty = automatic doubling
-  // widths (8, 16, ... max_seq). Values are sorted and deduplicated at
-  // session construction; max_seq is appended when not covered. Ignored
-  // for non-sequence models.
-  std::vector<std::int64_t> seq_buckets;
   // Batcher watchdog: a monitor thread that detects a dead worker (thread
   // exited with the queue still open — escaped exception, injected death)
   // or a stalled one (busy in the forward pass with a stale heartbeat)
@@ -110,7 +104,8 @@ class InferenceSession {
   // tensor's storage is shared (no copy) — do not mutate it before the
   // future resolves. The future resolves to the [1, out_features] output
   // row for non-sequence models. Throws
-  // std::runtime_error after shutdown(), and QueueFullError when
+  // UnavailableError once the queue is closed (shutdown, or a drain for
+  // unload/reload), and QueueFullError when
   // admission control sheds the request (bounded queue full within
   // cfg.admission_timeout_us — never thrown with the default blocking
   // admission). `priority` picks the admission lane (see Priority).

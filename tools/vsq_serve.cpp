@@ -18,8 +18,8 @@
 // writes one); MLP-style packages without one fall back to lexicographic
 // layer order with ReLU between layers. Sequence packages (vsq_quantize
 // --model=tiny_bert) are served with token rows of random length in
-// [1, max_seq], so the run exercises the length-bucketed batcher and the
-// stats table reports bucket occupancy and mixed-bucket batches.
+// [1, max_seq], so the run exercises mixed-length batches (counted as
+// mixed_bucket_batches in the JSON line).
 #include <algorithm>
 #include <future>
 #include <iostream>
@@ -64,8 +64,8 @@ int main(int argc, char** argv) {
   InferenceSession session(std::move(pkg), cfg);
   const std::int64_t in_features = session.runner().in_features();
   // Sequence packages take unpadded token rows of varying length; the
-  // generator mixes lengths across the bucket ladder so the run actually
-  // exercises mixed-bucket batches.
+  // generator mixes lengths so the run actually exercises mixed-length
+  // batches.
   const bool seq = session.runner().seq();
 
   std::cout << "serving " << path << ": " << session.package().layers.size() << " layers, ";

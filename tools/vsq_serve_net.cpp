@@ -118,9 +118,9 @@ int main(int argc, char** argv) {
     if (selfcheck) {
       // Loopback round trip through the real socket path: inference
       // against the first model, plus both text endpoints. Sequence
-      // models get token rows at two lengths (exercising two pad
-      // buckets over the wire); every row is audited bit-exact against
-      // local sequential execution through the same runner.
+      // models get token rows at two lengths over the wire; every row
+      // is audited bit-exact against local sequential execution
+      // through the same runner.
       vsq::net::NetClient client(server.host(), server.port());
       const QuantizedModelRunner& runner = registry.session(names.front())->runner();
       std::vector<std::vector<float>> payloads;
