@@ -1,5 +1,6 @@
 #include "exp/ptq.h"
 
+#include <algorithm>
 #include <map>
 #include <stdexcept>
 
@@ -218,6 +219,53 @@ QuantizedModelPackage builtin_serving_package(const std::string& which) {
     return pkg;
   }
   throw std::invalid_argument("unknown builtin model: " + which);
+}
+
+QuantizedModelPackage ServingModelSpec::build() const {
+  return path.empty() ? builtin_serving_package(name) : QuantizedModelPackage::load(path);
+}
+
+std::vector<ServingModelSpec> parse_serving_models(const std::string& builtin,
+                                                   const std::string& packages) {
+  // Comma-separated items, empty ones skipped.
+  const auto split = [](const std::string& s) {
+    std::vector<std::string> out;
+    std::size_t start = 0;
+    while (start < s.size()) {
+      const std::size_t end = std::min(s.find(',', start), s.size());
+      if (end > start) out.push_back(s.substr(start, end - start));
+      start = end + 1;
+    }
+    return out;
+  };
+  std::vector<ServingModelSpec> specs;
+  for (const std::string& which : split(builtin)) specs.push_back({which, ""});
+  for (const std::string& spec : split(packages)) {
+    const std::size_t eq = spec.find('=');
+    if (eq == std::string::npos || eq == 0 || eq + 1 >= spec.size()) {
+      throw std::invalid_argument("--packages entries must be name=path, got: " + spec);
+    }
+    specs.push_back({spec.substr(0, eq), spec.substr(eq + 1)});
+  }
+  if (specs.empty()) {
+    throw std::invalid_argument("no models (--builtin and --packages both empty)");
+  }
+  return specs;
+}
+
+Tensor random_serving_input(const QuantizedModelRunner& runner, Rng& rng) {
+  if (runner.seq()) {
+    const auto len = static_cast<std::int64_t>(
+        1 + rng.uniform_u64(static_cast<std::uint64_t>(runner.max_seq())));
+    Tensor t(Shape{1, len});
+    for (auto& v : t.span()) {
+      v = static_cast<float>(rng.uniform_u64(static_cast<std::uint64_t>(runner.vocab())));
+    }
+    return t;
+  }
+  Tensor t(Shape{1, runner.in_features()});
+  for (auto& v : t.span()) v = static_cast<float>(rng.normal());
+  return t;
 }
 
 double PtqRunner::eval_bert_quantized(bool large, const QuantSpec& w, const QuantSpec& a) {

@@ -15,6 +15,7 @@
 #include "models/zoo.h"
 #include "quant/export.h"
 #include "util/result_cache.h"
+#include "util/rng.h"
 
 namespace vsq {
 
@@ -94,5 +95,25 @@ QuantizedModelPackage tiny_bert_package(const MacConfig& mac);
 //   resnet     untrained full ResNetV topology (seed 11), same mac
 // Throws std::invalid_argument for any other name.
 QuantizedModelPackage builtin_serving_package(const std::string& which);
+
+// One model a serving tool loads: a builtin_serving_package name (empty
+// path) or a named .vsqa archive. build() makes a fresh package per call.
+struct ServingModelSpec {
+  std::string name;
+  std::string path;
+  QuantizedModelPackage build() const;
+};
+
+// The serving tools' model flags, --builtin=a,b and
+// --packages=name=path,..., in that order. Throws std::invalid_argument
+// for a --packages entry that is not name=path, or when both are empty.
+std::vector<ServingModelSpec> parse_serving_models(const std::string& builtin,
+                                                   const std::string& packages);
+
+// One random request row [1, n] for the runner's model: for a sequence
+// model, token ids uniform in [0, vocab) at a length uniform in
+// [1, max_seq]; otherwise in_features N(0, 1) values. The serving tools
+// (vsq_serve, vsq_soak) draw their payloads from it.
+Tensor random_serving_input(const QuantizedModelRunner& runner, Rng& rng);
 
 }  // namespace vsq

@@ -753,6 +753,90 @@ Tensor attention_context(const Tensor& q, const Tensor& k, const Tensor& v,
   return ctx;
 }
 
+// Packed-row offsets of a [rows, t] token batch: row r's true length is
+// its unpadded prefix before the first -1.0f sentinel, and its tokens
+// occupy packed rows [off[r], off[r+1]). Validated at the door: a
+// malformed row (interior pad, fractional or out-of-vocab id) must fail
+// the call with a clear diagnostic, never index the embedding table.
+std::vector<std::int64_t> token_row_offsets(const Tensor& x, std::int64_t max_seq,
+                                            std::int64_t vocab) {
+  if (x.shape().rank() != 2 || x.shape()[1] < 1 || x.shape()[1] > max_seq) {
+    throw std::invalid_argument("QuantizedModelRunner: input must be [rows, T] token ids with "
+                                "1 <= T <= " +
+                                std::to_string(max_seq));
+  }
+  const std::int64_t rows = x.shape()[0], t = x.shape()[1];
+  std::vector<std::int64_t> off(rows + 1, 0);
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const float* row = x.data() + r * t;
+    std::int64_t l = 0;
+    while (l < t && row[l] != -1.0f) ++l;
+    if (l == 0) {
+      throw std::invalid_argument("QuantizedModelRunner: empty token row");
+    }
+    for (std::int64_t j = l; j < t; ++j) {
+      if (row[j] != -1.0f) {
+        throw std::invalid_argument(
+            "QuantizedModelRunner: pad sentinel inside a token row (suffix padding only)");
+      }
+    }
+    for (std::int64_t j = 0; j < l; ++j) {
+      const float v = row[j];
+      if (!(v >= 0.0f && v < static_cast<float>(vocab)) ||
+          v != static_cast<float>(static_cast<std::int64_t>(v))) {
+        throw std::invalid_argument("QuantizedModelRunner: token id out of range [0, " +
+                                    std::to_string(vocab) + ")");
+      }
+    }
+    off[r + 1] = off[r] + l;
+  }
+  return off;
+}
+
+// Embedding lookup of a validated token batch into the packed [Σlens, D]
+// activation: padding costs no compute. Every later op is row-wise
+// (attention partitions the rows per sample), which is what makes
+// batched == sequential bit-exact. Every pad position of the padded batch
+// would start from the same zero embedding and pass only through row-wise
+// ops (attention leaves it zero), so when any row is padded one shared
+// zero row after the real ones reproduces all of their outputs.
+Tensor embed_packed(const Tensor& x, const std::vector<std::int64_t>& off,
+                    const EmbeddingPackage& e) {
+  const std::int64_t rows = x.shape()[0], t = x.shape()[1], real = off.back();
+  Tensor h(Shape{real + (real < rows * t ? 1 : 0), e.dim});  // zero-initialized pad row
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const float* row = x.data() + r * t;
+    for (std::int64_t j = 0; j < off[r + 1] - off[r]; ++j) {
+      const auto id = static_cast<std::int64_t>(row[j]);
+      const float* te = e.tok.data() + id * e.dim;
+      const float* pe = e.pos.data() + j * e.dim;
+      float* dst = h.data() + (off[r] + j) * e.dim;
+      for (std::int64_t c = 0; c < e.dim; ++c) dst[c] = te[c] + pe[c];
+    }
+  }
+  return h;
+}
+
+// The packed [Σlens (+1 pad row), opt] result back as [rows, t * opt].
+// Unpadded, the packed rows already are that. Otherwise scatter: each
+// row's real positions are contiguous in h, and every pad position gets
+// a copy of the shared pad row.
+Tensor scatter_token_rows(const Tensor& h, const std::vector<std::int64_t>& off, std::int64_t t,
+                          std::int64_t opt) {
+  const auto rows = static_cast<std::int64_t>(off.size()) - 1;
+  const std::int64_t real = off.back();
+  if (real == rows * t) return h.reshape(Shape{rows, t * opt});
+  Tensor y(Shape{rows, t * opt});
+  const float* pad = h.data() + real * opt;
+  for (std::int64_t r = 0; r < rows; ++r) {
+    float* dst = y.data() + r * t * opt;
+    const std::int64_t l = off[r + 1] - off[r];
+    std::copy_n(h.data() + off[r] * opt, l * opt, dst);
+    for (std::int64_t j = l; j < t; ++j) std::copy_n(pad, opt, dst + j * opt);
+  }
+  return y;
+}
+
 }  // namespace
 
 QuantizedModelRunner::QuantizedModelRunner(const QuantizedModelPackage& pkg,
@@ -764,32 +848,35 @@ QuantizedModelRunner::QuantizedModelRunner(const QuantizedModelPackage& pkg,
   if (program_.empty()) {
     throw std::invalid_argument("QuantizedModelRunner: package has no layers");
   }
-  const bool any_spatial =
-      std::any_of(program_.begin(), program_.end(), [](const ForwardStep& s) {
-        return s.op == Op::kConv || s.op == Op::kConvSaved || s.op == Op::kGlobalPool;
-      });
-  if (any_spatial && (pkg.in_h <= 0 || pkg.in_w <= 0 || pkg.in_c <= 0)) {
+  spatial_ = std::any_of(program_.begin(), program_.end(), [](const ForwardStep& s) {
+    return s.op == Op::kConv || s.op == Op::kConvSaved || s.op == Op::kGlobalPool;
+  });
+  if (spatial_ && (pkg.in_h <= 0 || pkg.in_w <= 0 || pkg.in_c <= 0)) {
     throw std::invalid_argument(
         "QuantizedModelRunner: spatial program but package has no input geometry");
   }
-  spatial_ = any_spatial;
-
-  const bool any_seq = std::any_of(program_.begin(), program_.end(),
-                                   [](const ForwardStep& s) { return op_is_sequence(s.op); });
-  if (any_seq) {
-    if (any_spatial) {
-      throw std::invalid_argument("QuantizedModelRunner: program mixes spatial and sequence ops");
-    }
-    if (program_[0].op != Op::kEmbed) {
-      throw std::invalid_argument(
-          "QuantizedModelRunner: sequence program must start with an embed step");
-    }
-    if (pkg.max_seq <= 0 || pkg.seq_dim <= 0 || pkg.heads <= 0) {
-      throw std::invalid_argument(
-          "QuantizedModelRunner: sequence program but package has no sequence geometry");
-    }
+  // A sequence program starts with its embed step; the walk below rejects
+  // sequence ops in any other program.
+  seq_ = program_[0].op == Op::kEmbed;
+  if (seq_ && spatial_) {
+    throw std::invalid_argument("QuantizedModelRunner: program mixes spatial and sequence ops");
   }
-  seq_ = any_seq;
+  if (seq_ && (pkg.max_seq <= 0 || pkg.seq_dim <= 0 || pkg.heads <= 0)) {
+    throw std::invalid_argument(
+        "QuantizedModelRunner: sequence program but package has no sequence geometry");
+  }
+
+  // Resolve every layer into its primitive once (kernel dispatch +
+  // weight-panel pack); the walk below binds each step to what it executes
+  // with, so forward() never repacks and never looks anything up.
+  for (const auto& [name, l] : pkg.layers) prims_.try_emplace(name, l);
+  const auto find_prim = [this](const std::string& name) {
+    const auto it = prims_.find(name);
+    if (it == prims_.end()) {
+      throw std::invalid_argument("QuantizedModelRunner: program names missing layer " + name);
+    }
+    return &it->second;
+  };
 
   // Static shape propagation: every step's input/output dims are fixed up
   // front (batch excepted), so forward() never re-validates.
@@ -801,15 +888,17 @@ QuantizedModelRunner::QuantizedModelRunner(const QuantizedModelPackage& pkg,
   // produced a fresh h since the last save (true for every generated
   // program; reject hand-crafted ones that would alias-and-mutate).
   bool fresh_h = false;
+  steps_.reserve(program_.size());
   for (const ForwardStep& step : program_) {
+    Step& st = steps_.emplace_back(Step{step.op, step.relu});
     const QuantizedLayerPackage* layer = nullptr;
     if (op_uses_layer(step.op)) {
-      const auto it = pkg.layers.find(step.layer);
-      if (it == pkg.layers.end()) {
-        throw std::invalid_argument("QuantizedModelRunner: program names missing layer " +
-                                    step.layer);
-      }
-      layer = &it->second;
+      st.prim[0] = find_prim(step.layer);
+      layer = &st.prim[0]->layer();
+    }
+    if (op_is_sequence(step.op) && !seq_) {
+      throw std::invalid_argument("QuantizedModelRunner: sequence step " + step.layer +
+                                  " in a program that does not start with an embed step");
     }
     // ReLU after a step applies to the main-path activation h. Reject it
     // on ops that write `saved` (or alias h with it): silently relu-ing
@@ -907,6 +996,7 @@ QuantizedModelRunner::QuantizedModelRunner(const QuantizedModelPackage& pkg,
           throw std::invalid_argument("QuantizedModelRunner: embedding " + step.layer +
                                       " covers fewer positions than max_seq");
         }
+        st.embed = &e;
         vocab_ = e.vocab;
         cur.features = e.dim;
         fresh_h = true;
@@ -923,6 +1013,7 @@ QuantizedModelRunner::QuantizedModelRunner(const QuantizedModelPackage& pkg,
           throw std::invalid_argument("QuantizedModelRunner: layernorm " + step.layer +
                                       " width does not match the activation");
         }
+        st.norm = &it->second;
         fresh_h = true;
         break;
       }
@@ -932,16 +1023,13 @@ QuantizedModelRunner::QuantizedModelRunner(const QuantizedModelPackage& pkg,
                                       " expects the package model width " +
                                       std::to_string(pkg.seq_dim));
         }
-        for (const char* suffix : {".q", ".k", ".v", ".out"}) {
-          const auto it = pkg.layers.find(step.layer + suffix);
-          if (it == pkg.layers.end()) {
-            throw std::invalid_argument("QuantizedModelRunner: program names missing layer " +
-                                        step.layer + suffix);
-          }
-          const QuantizedMatrix& w = it->second.weights;
+        const char* const suffixes[] = {".q", ".k", ".v", ".out"};
+        for (int p = 0; p < 4; ++p) {
+          st.prim[p] = find_prim(step.layer + suffixes[p]);
+          const QuantizedMatrix& w = st.prim[p]->layer().weights;
           if (w.rows != pkg.seq_dim || w.cols() != pkg.seq_dim) {
             throw std::invalid_argument("QuantizedModelRunner: attention projection " +
-                                        step.layer + suffix +
+                                        step.layer + suffixes[p] +
                                         " is not a square model-width layer");
           }
         }
@@ -975,26 +1063,6 @@ QuantizedModelRunner::QuantizedModelRunner(const QuantizedModelPackage& pkg,
     out_features_ = cur.spatial ? cur.h * cur.w * cur.c : cur.features;
   }
 
-  // Resolve every layer into its primitive once, after validation passed
-  // (kernel dispatch + weight-panel pack): the per-request path then
-  // executes resolved primitives — zero repacks, zero dispatch lookups.
-  for (const auto& [name, l] : pkg.layers) prims_.try_emplace(name, l);
-  step_prims_.reserve(program_.size());
-  step_attn_.resize(program_.size());
-  step_norms_.resize(program_.size(), nullptr);
-  step_embeds_.resize(program_.size(), nullptr);
-  for (std::size_t i = 0; i < program_.size(); ++i) {
-    const ForwardStep& step = program_[i];
-    step_prims_.push_back(op_uses_layer(step.op) ? &prims_.at(step.layer) : nullptr);
-    if (step.op == Op::kAttention) {
-      step_attn_[i] = AttnPrims{&prims_.at(step.layer + ".q"), &prims_.at(step.layer + ".k"),
-                                &prims_.at(step.layer + ".v"), &prims_.at(step.layer + ".out")};
-    } else if (step.op == Op::kLayerNorm) {
-      step_norms_[i] = &pkg.norms.at(step.layer);
-    } else if (step.op == Op::kEmbed) {
-      step_embeds_[i] = &pkg.embeddings.at(step.layer);
-    }
-  }
 }
 
 const IntLayerPrimitive* QuantizedModelRunner::primitive(const std::string& layer) const {
@@ -1013,8 +1081,13 @@ std::vector<ForwardStep> QuantizedModelRunner::mlp_program(const QuantizedModelP
 
 Tensor QuantizedModelRunner::forward(const Tensor& x, IntGemmStats* stats) const {
   using Op = ForwardStep::Op;
-  if (seq_) return forward_seq(x, stats);
-  if (x.shape().rank() != 2 || x.shape()[1] != in_features_) {
+  // Input side: a token batch validates and packs its rows to Σlens
+  // offsets (read by the embed and attention steps); flat rows stay 2-D
+  // with `off` empty, and image rows reshape to NHWC.
+  std::vector<std::int64_t> off;
+  if (seq_) {
+    off = token_row_offsets(x, max_seq_, vocab_);
+  } else if (x.shape().rank() != 2 || x.shape()[1] != in_features_) {
     throw std::invalid_argument("QuantizedModelRunner: input must be [rows, " +
                                 std::to_string(in_features_) + "]");
   }
@@ -1022,17 +1095,17 @@ Tensor QuantizedModelRunner::forward(const Tensor& x, IntGemmStats* stats) const
   Tensor h = spatial_ ? x.reshape(Shape{rows, pkg_->in_h, pkg_->in_w, pkg_->in_c}) : x;
   Tensor saved;
   const IntExecContext ctx{scale_product_bits_, stats};
-  for (std::size_t i = 0; i < step_prims_.size(); ++i) {
-    switch (program_[i].op) {
+  for (const Step& s : steps_) {
+    switch (s.op) {
       case Op::kGemm:
       case Op::kConv:
-        h = step_prims_[i]->execute(h, ctx);
+        h = s.prim[0]->execute(h, ctx);
         break;
       case Op::kConvSaved:
-        saved = step_prims_[i]->execute(saved, ctx);
+        saved = s.prim[0]->execute(saved, ctx);
         break;
       case Op::kSave:
-        saved = h;  // shallow: the next conv produces a fresh h
+        saved = h;  // shallow: a layer op makes a fresh h before any add (validated)
         break;
       case Op::kAddSaved:
         add_inplace(h, saved);
@@ -1040,137 +1113,33 @@ Tensor QuantizedModelRunner::forward(const Tensor& x, IntGemmStats* stats) const
       case Op::kGlobalPool:
         h = global_avg_pool_nhwc(h);
         break;
-      case Op::kSoftmax:
-        h = softmax_last_axis(h);
-        break;
-      case Op::kGelu:
-        h = gelu_exec(h);
-        break;
       case Op::kEmbed:
-      case Op::kLayerNorm:
-      case Op::kAttention:
-        break;  // sequence-only ops route through forward_seq (ctor guarantees)
-    }
-    if (program_[i].relu) relu_inplace(h);
-  }
-  if (h.shape().rank() != 2) h = h.reshape(Shape{rows, out_features_});
-  return h;
-}
-
-Tensor QuantizedModelRunner::forward_seq(const Tensor& x, IntGemmStats* stats) const {
-  using Op = ForwardStep::Op;
-  if (x.shape().rank() != 2 || x.shape()[1] < 1 || x.shape()[1] > max_seq_) {
-    throw std::invalid_argument("QuantizedModelRunner: input must be [rows, T] token ids with "
-                                "1 <= T <= " +
-                                std::to_string(max_seq_));
-  }
-  const std::int64_t rows = x.shape()[0], t = x.shape()[1];
-
-  // Per-row true length = the unpadded prefix before the first -1.0f
-  // sentinel. Validated at the door: a malformed row (interior pad,
-  // fractional or out-of-vocab id) must fail this call with a clear
-  // diagnostic, never index the embedding table. Row r's tokens then
-  // occupy packed rows [off[r], off[r+1]).
-  std::vector<std::int64_t> off(rows + 1, 0);
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float* row = x.data() + r * t;
-    std::int64_t l = 0;
-    while (l < t && row[l] != -1.0f) ++l;
-    if (l == 0) {
-      throw std::invalid_argument("QuantizedModelRunner: empty token row");
-    }
-    for (std::int64_t j = l; j < t; ++j) {
-      if (row[j] != -1.0f) {
-        throw std::invalid_argument(
-            "QuantizedModelRunner: pad sentinel inside a token row (suffix padding only)");
-      }
-    }
-    for (std::int64_t j = 0; j < l; ++j) {
-      const float v = row[j];
-      if (!(v >= 0.0f && v < static_cast<float>(vocab_)) ||
-          v != static_cast<float>(static_cast<std::int64_t>(v))) {
-        throw std::invalid_argument("QuantizedModelRunner: token id out of range [0, " +
-                                    std::to_string(vocab_) + ")");
-      }
-    }
-    off[r + 1] = off[r] + l;
-  }
-
-  // Embedding lookup (always step 0) into the packed [Σlens, D]
-  // activation: padding costs no compute. Every later op is row-wise
-  // (attention partitions the rows per sample), which is what makes
-  // batched == sequential bit-exact. Every pad position of the padded
-  // batch would start from the same zero embedding and pass only through
-  // row-wise ops (attention leaves it zero), so when any row is padded one
-  // shared zero row after the real ones reproduces all of their outputs.
-  const std::int64_t real = off[rows];
-  const bool padded = real < rows * t;
-  const EmbeddingPackage& e = *step_embeds_[0];
-  Tensor h(Shape{real + (padded ? 1 : 0), e.dim});  // zero-initialized pad row
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float* row = x.data() + r * t;
-    for (std::int64_t j = 0; j < off[r + 1] - off[r]; ++j) {
-      const auto id = static_cast<std::int64_t>(row[j]);
-      const float* te = e.tok.data() + id * e.dim;
-      const float* pe = e.pos.data() + j * e.dim;
-      float* dst = h.data() + (off[r] + j) * e.dim;
-      for (std::int64_t c = 0; c < e.dim; ++c) dst[c] = te[c] + pe[c];
-    }
-  }
-  if (program_[0].relu) relu_inplace(h);
-
-  Tensor saved;
-  const IntExecContext ctx{scale_product_bits_, stats};
-  for (std::size_t i = 1; i < program_.size(); ++i) {
-    switch (program_[i].op) {
-      case Op::kGemm:
-        h = step_prims_[i]->execute(h, ctx);
-        break;
-      case Op::kSave:
-        saved = h;  // shallow: the next op produces a fresh h (validated)
-        break;
-      case Op::kAddSaved:
-        add_inplace(h, saved);
+        h = embed_packed(x, off, *s.embed);
         break;
       case Op::kLayerNorm:
-        h = layernorm_exec(h, *step_norms_[i]);
-        break;
-      case Op::kGelu:
-        h = gelu_exec(h);
-        break;
-      case Op::kSoftmax:
-        h = softmax_last_axis(h);
+        h = layernorm_exec(h, *s.norm);
         break;
       case Op::kAttention: {
-        const AttnPrims& p = step_attn_[i];
-        const Tensor q = p.q->execute(h, ctx);
-        const Tensor k = p.k->execute(h, ctx);
-        const Tensor v = p.v->execute(h, ctx);
-        h = p.out->execute(attention_context(q, k, v, off, pkg_->seq_dim, pkg_->heads), ctx);
+        const Tensor q = s.prim[0]->execute(h, ctx);
+        const Tensor k = s.prim[1]->execute(h, ctx);
+        const Tensor v = s.prim[2]->execute(h, ctx);
+        h = s.prim[3]->execute(attention_context(q, k, v, off, pkg_->seq_dim, pkg_->heads), ctx);
         break;
       }
-      case Op::kEmbed:
-      case Op::kConv:
-      case Op::kConvSaved:
-      case Op::kGlobalPool:
-        break;  // rejected at construction
+      case Op::kSoftmax:
+        h = softmax_last_axis(h);
+        break;
+      case Op::kGelu:
+        h = gelu_exec(h);
+        break;
     }
-    if (program_[i].relu) relu_inplace(h);
+    if (s.relu) relu_inplace(h);
   }
-  // Unpadded, the packed rows already are [rows, t*out_per_token].
-  // Otherwise scatter: each row's real positions are contiguous in h, and
-  // every pad position gets a copy of the shared pad row.
-  const std::int64_t opt = out_per_token_;
-  if (!padded) return h.reshape(Shape{rows, t * opt});
-  Tensor y(Shape{rows, t * opt});
-  const float* pad = h.data() + real * opt;
-  for (std::int64_t r = 0; r < rows; ++r) {
-    float* dst = y.data() + r * t * opt;
-    const std::int64_t l = off[r + 1] - off[r];
-    std::copy_n(h.data() + off[r] * opt, l * opt, dst);
-    for (std::int64_t j = l; j < t; ++j) std::copy_n(pad, opt, dst + j * opt);
-  }
-  return y;
+  // Output side: a token batch scatters back to its padded layout; an
+  // image batch flattens its final activation.
+  if (seq_) return scatter_token_rows(h, off, x.shape()[1], out_per_token_);
+  if (h.shape().rank() != 2) h = h.reshape(Shape{rows, out_features_});
+  return h;
 }
 
 IntegerExecutionGuard::IntegerExecutionGuard(std::vector<QuantizableGemm*> gemms,

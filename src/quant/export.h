@@ -207,11 +207,18 @@ Tensor run_packaged_conv_layer(const QuantizedLayerPackage& layer, const Tensor&
                                int scale_product_bits = -1, IntGemmStats* stats = nullptr);
 
 // Standalone integer-datapath model executor: runs a package's forward
-// program (layer chain, ReLUs, conv/residual/pool ops) entirely through
-// the integer datapath (int_gemm / int_conv), no fp32 model object
-// required. This is what the serving engine (src/serve/) executes per
-// batch. Output rows depend only on their own input row/image, so results
-// are bit-identical for any batch composition and any thread count.
+// program (layer chain, ReLUs, conv/residual/pool ops, sequence ops)
+// entirely through the integer datapath (int_gemm / int_conv) plus the fp
+// sidecar ops, no fp32 model object required. This is what the serving
+// engine (src/serve/) executes per batch. Output rows depend only on their
+// own input row/image, so results are bit-identical for any batch
+// composition and any thread count.
+//
+// Every package kind runs through ONE loop over a step table resolved at
+// load (each step's op, ReLU flag, primitives and fp parameter set), with
+// one arm per op. Only the two ends of forward() depend on the kind:
+//
+// MLP packages take [rows, in_features] and return [rows, out_features].
 //
 // CNN packages execute on flattened inputs: forward() takes [rows, H*W*C]
 // rows (what the dynamic batcher assembles), reshapes to NHWC internally,
@@ -220,15 +227,15 @@ Tensor run_packaged_conv_layer(const QuantizedLayerPackage& layer, const Tensor&
 // Sequence (transformer) packages execute on token rows: forward() takes
 // [rows, T] token ids as floats for ANY 1 <= T <= max_seq, with shorter
 // rows padded to T by the -1.0f sentinel (suffix padding only). Each
-// row's true length L is its unpadded prefix. The batch is packed to its
-// ΣL real tokens: every projection, FFN GEMM and elementwise op runs over
-// those rows only (each row carries its own per-vector activation
-// scales), and attention runs per sample over exactly its L positions, so
-// batched outputs are bit-identical to sequential [1, L] execution by
-// construction. The output is [rows, T * out_per_token]; only the first
-// L * out_per_token values of a row are meaningful (the serving layer
-// slices them). Pad positions get the output of a zero embedding, which
-// is what a padded execution would compute there.
+// row's true length L is its unpadded prefix. The embed step packs the
+// batch to its ΣL real tokens: every projection, FFN GEMM and elementwise
+// op runs over those rows only (each row carries its own per-vector
+// activation scales), and attention runs per sample over exactly its L
+// positions, so batched outputs are bit-identical to sequential [1, L]
+// execution by construction. The output is [rows, T * out_per_token];
+// only the first L * out_per_token values of a row are meaningful (the
+// serving layer slices them). Pad positions get the output of a zero
+// embedding, which is what a padded execution would compute there.
 class QuantizedModelRunner {
  public:
   // Uses pkg.program when non-empty, else mlp_program(pkg). The package
@@ -269,23 +276,21 @@ class QuantizedModelRunner {
   const std::map<std::string, IntLayerPrimitive>& primitives() const { return prims_; }
 
  private:
-  Tensor forward_seq(const Tensor& x, IntGemmStats* stats) const;
+  // One program step resolved at load: what forward() executes it with.
+  // prim holds the layer op's primitive, or kAttention's q, k, v and out
+  // projections; norm / embed the kLayerNorm / kEmbed parameter set.
+  struct Step {
+    ForwardStep::Op op = ForwardStep::Op::kGemm;
+    bool relu = false;
+    const IntLayerPrimitive* prim[4] = {};
+    const LayerNormPackage* norm = nullptr;
+    const EmbeddingPackage* embed = nullptr;
+  };
 
   const QuantizedModelPackage* pkg_;
   std::vector<ForwardStep> program_;
   std::map<std::string, IntLayerPrimitive> prims_;  // resolved at load time
-  std::vector<const IntLayerPrimitive*> step_prims_;  // parallel to program_
-  // Per-step resolved references for the sequence ops (all parallel to
-  // program_; only the slot matching the step's op is non-null).
-  struct AttnPrims {
-    const IntLayerPrimitive* q = nullptr;
-    const IntLayerPrimitive* k = nullptr;
-    const IntLayerPrimitive* v = nullptr;
-    const IntLayerPrimitive* out = nullptr;
-  };
-  std::vector<AttnPrims> step_attn_;
-  std::vector<const LayerNormPackage*> step_norms_;
-  std::vector<const EmbeddingPackage*> step_embeds_;
+  std::vector<Step> steps_;                          // parallel to program_
   int scale_product_bits_;
   bool spatial_ = false;  // program starts on an NHWC image
   bool seq_ = false;      // program starts on a token row (kEmbed first)

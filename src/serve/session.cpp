@@ -11,7 +11,6 @@ InferenceSession::InferenceSession(QuantizedModelPackage pkg, ServeConfig cfg)
     : pkg_(std::move(pkg)),
       cfg_(cfg),
       runner_(pkg_, cfg.scale_product_bits),
-      stats_(cfg.latency_window),
       cache_(cfg.cache_entries),
       queue_(cfg.queue_depth) {
   for (const auto& [name, prim] : runner_.primitives()) {
@@ -222,14 +221,12 @@ std::future<Tensor> InferenceSession::submit(const Tensor& input, Priority prior
 
   std::future<Tensor> f = req.promise.get_future();
 
-  // Admission. The lane's depth limit carves headroom out of the shared
-  // queue (0 = the queue's own bound): on a bounded queue, kLow sheds
-  // first, then kNormal, while kHigh admits up to the full depth.
+  // Admission. kLow's depth limit carves headroom out of the shared queue
+  // (0 = the queue's own bound): on a bounded queue kLow sheds first,
+  // while kHigh and kNormal admit up to the full depth.
   std::size_t lane_limit = 0;
-  if (cfg_.queue_depth > 0 && priority != Priority::kHigh) {
-    const double frac =
-        priority == Priority::kLow ? cfg_.low_lane_fraction : cfg_.normal_lane_fraction;
-    const double clamped = std::min(1.0, std::max(0.0, frac));
+  if (cfg_.queue_depth > 0 && priority == Priority::kLow) {
+    const double clamped = std::min(1.0, std::max(0.0, cfg_.low_lane_fraction));
     lane_limit = std::max<std::size_t>(
         1, static_cast<std::size_t>(clamped * static_cast<double>(cfg_.queue_depth)));
   }

@@ -30,11 +30,11 @@
 namespace vsq {
 
 // Priority lane of a request. Lanes layer on the ONE shared RequestQueue
-// as admission headroom, not separate queues: a lane's requests are shed
-// once the queue is fuller than that lane's fraction of queue_depth, so
-// under overload low-priority traffic starts shedding first and high-
-// priority requests still admit into the space the lower lanes may not
-// use. Batching/FIFO order inside the queue is unchanged.
+// as admission headroom, not separate queues: kLow requests are shed once
+// the queue is fuller than ServeConfig::low_lane_fraction of queue_depth,
+// so under overload low-priority traffic starts shedding first and kHigh
+// and kNormal requests still admit into the space kLow may not use.
+// Batching/FIFO order inside the queue is unchanged.
 enum class Priority : std::uint8_t { kHigh = 0, kNormal = 1, kLow = 2 };
 
 struct ServeConfig {
@@ -61,15 +61,10 @@ struct ServeConfig {
   // A server front-end wants 0 (or small): an explicit rejection the
   // client can act on beats an invisible head-of-line stall.
   int admission_timeout_us = -1;
-  // Per-lane admission headroom as fractions of queue_depth (only
-  // meaningful on a bounded queue). kHigh always admits up to the full
-  // depth. Defaults keep kNormal at the full depth (so existing callers
-  // see no behavior change) and shed kLow once the queue is half full.
-  double normal_lane_fraction = 1.0;
+  // kLow admission headroom as a fraction of queue_depth (only meaningful
+  // on a bounded queue): kLow sheds once the queue is this full, while
+  // kHigh and kNormal admit up to the full depth.
   double low_lane_fraction = 0.5;
-  // Latency samples retained for percentile estimation (bounded sliding
-  // window; memory per session is flat in request count).
-  std::size_t latency_window = ServeStats::kDefaultLatencyWindow;
   // Batcher watchdog: a monitor thread that detects a dead worker (thread
   // exited with the queue still open — escaped exception, injected death)
   // or a stalled one (busy in the forward pass with a stale heartbeat)

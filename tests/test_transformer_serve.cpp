@@ -284,6 +284,35 @@ TEST(TransformerRunner, RejectsMalformedTokenRows) {
   }
 }
 
+TEST(TransformerRunner, RejectsBrokenSequencePrograms) {
+  const QuantizedModelPackage& pkg = bert_pkg();
+  ASSERT_EQ(pkg.program.front().op, ForwardStep::Op::kEmbed);
+  ASSERT_NO_THROW(QuantizedModelRunner{pkg});
+  // The embed step moved off position 0.
+  QuantizedModelPackage moved = pkg;
+  std::swap(moved.program[0], moved.program[1]);
+  EXPECT_THROW(QuantizedModelRunner{moved}, std::invalid_argument);
+  // A layernorm step whose parameter set is missing.
+  QuantizedModelPackage no_norm = pkg;
+  ASSERT_EQ(no_norm.norms.erase("layer0.ln1"), 1u);
+  EXPECT_THROW(QuantizedModelRunner{no_norm}, std::invalid_argument);
+  // An attention step missing its .k projection.
+  QuantizedModelPackage no_k = pkg;
+  ASSERT_EQ(no_k.layers.erase("layer0.attn.k"), 1u);
+  EXPECT_THROW(QuantizedModelRunner{no_k}, std::invalid_argument);
+  // A conv step appended. The input geometry is set, so what is rejected
+  // is the mix of spatial and sequence ops, not missing geometry.
+  QuantizedModelPackage conv = pkg;
+  conv.program.push_back(ForwardStep::conv("span_head", false));
+  conv.in_h = conv.in_w = 4;
+  conv.in_c = 2;
+  EXPECT_THROW(QuantizedModelRunner{conv}, std::invalid_argument);
+  // No servable sequence length.
+  QuantizedModelPackage no_len = pkg;
+  no_len.max_seq = 0;
+  EXPECT_THROW(QuantizedModelRunner{no_len}, std::invalid_argument);
+}
+
 TEST(TransformerRunner, ForcedTierOutputsBitIdenticalAcrossTiers) {
   // The integer datapath promises the same bits on every kernel tier; the
   // sequence ops (embed, layernorm, attention score/context, softmax,

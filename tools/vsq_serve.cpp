@@ -26,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "exp/ptq.h"
 #include "kernels/isa.h"
 #include "serve/session.h"
 #include "util/args.h"
@@ -62,40 +63,19 @@ int main(int argc, char** argv) {
 
   QuantizedModelPackage pkg = QuantizedModelPackage::load(path);
   InferenceSession session(std::move(pkg), cfg);
-  const std::int64_t in_features = session.runner().in_features();
-  // Sequence packages take unpadded token rows of varying length; the
-  // generator mixes lengths so the run actually exercises mixed-length
-  // batches.
-  const bool seq = session.runner().seq();
+  const QuantizedModelRunner& runner = session.runner();
 
   std::cout << "serving " << path << ": " << session.package().layers.size() << " layers, ";
-  if (seq) {
-    std::cout << "sequence max_seq=" << session.runner().max_seq()
-              << " vocab=" << session.runner().vocab()
-              << " out/token=" << session.runner().out_per_token() << ", ";
+  if (runner.seq()) {
+    std::cout << "sequence max_seq=" << runner.max_seq() << " vocab=" << runner.vocab()
+              << " out/token=" << runner.out_per_token() << ", ";
   } else {
-    std::cout << in_features << " -> " << session.runner().out_features() << " features, ";
+    std::cout << runner.in_features() << " -> " << runner.out_features() << " features, ";
   }
   std::cout << clients << " clients x " << (total_requests / clients) << "+ requests, max_batch="
             << cfg.max_batch << ", max_wait=" << cfg.max_wait_us << "us, cache="
             << cfg.cache_entries << "\n";
   std::cout << "cpu: " << isa::summary() << "\n";
-
-  const auto gen_input = [&](Rng& rng) {
-    if (seq) {
-      const auto max_seq = static_cast<std::uint64_t>(session.runner().max_seq());
-      const std::int64_t len = static_cast<std::int64_t>(1 + rng.uniform_u64(max_seq));
-      Tensor t(Shape{len});
-      for (auto& v : t.span()) {
-        v = static_cast<float>(
-            rng.uniform_u64(static_cast<std::uint64_t>(session.runner().vocab())));
-      }
-      return t;
-    }
-    Tensor t(Shape{in_features});
-    for (auto& v : t.span()) v = static_cast<float>(rng.normal());
-    return t;
-  };
 
   // Deterministic inputs, pre-generated before the clock starts (the
   // generator must not bill payload synthesis to the engine). With
@@ -105,7 +85,7 @@ int main(int argc, char** argv) {
   std::vector<Tensor> pool;
   if (pooled) {
     Rng prng(seed);
-    for (int i = 0; i < unique; ++i) pool.push_back(gen_input(prng));
+    for (int i = 0; i < unique; ++i) pool.push_back(random_serving_input(runner, prng));
   }
   std::vector<ClientLog> logs(static_cast<std::size_t>(clients));
   for (int c = 0; c < clients; ++c) {
@@ -118,7 +98,7 @@ int main(int argc, char** argv) {
       if (pooled) {
         log.inputs.push_back(pool[rng.uniform_u64(static_cast<std::uint64_t>(pool.size()))]);
       } else {
-        log.inputs.push_back(gen_input(rng));
+        log.inputs.push_back(random_serving_input(runner, rng));
       }
     }
     log.outputs.resize(log.inputs.size());
@@ -151,14 +131,12 @@ int main(int argc, char** argv) {
   if (check) {
     // Audit: every served output must be bit-identical to sequential
     // single-sample execution through the same runner.
-    const QuantizedModelRunner& runner = session.runner();
     std::uint64_t checked = 0;
     for (const ClientLog& log : logs) {
       for (std::size_t i = 0; i < log.inputs.size(); ++i) {
         // Sequence inputs replay at their own true length [1, L]; the
         // served row and the sequential reference are both [1, L * opt].
-        const Tensor ref =
-            runner.forward(log.inputs[i].reshape(Shape{1, log.inputs[i].numel()}));
+        const Tensor ref = runner.forward(log.inputs[i]);
         const Tensor& got = log.outputs[i];
         for (std::int64_t j = 0; j < ref.numel(); ++j) {
           if (ref[j] != got[j]) {

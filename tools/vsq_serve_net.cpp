@@ -38,21 +38,6 @@ namespace {
 std::atomic<bool> g_stop{false};
 void handle_signal(int) { g_stop.store(true); }
 
-std::vector<std::string> split_list(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= s.size()) {
-    const std::size_t end = s.find(sep, start);
-    if (end == std::string::npos) {
-      if (start < s.size()) out.push_back(s.substr(start));
-      break;
-    }
-    if (end > start) out.push_back(s.substr(start, end - start));
-    start = end + 1;
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -77,29 +62,19 @@ int main(int argc, char** argv) {
   net_cfg.port = args.get_int("port", 0);
   net_cfg.max_connections = std::max(1, args.get_int("max-connections", 64));
 
-  ModelRegistry registry(cfg);
-  std::vector<std::string> names;
+  std::vector<ServingModelSpec> models;
   try {
-    for (const std::string& which : split_list(builtin, ',')) {
-      registry.load(which, builtin_serving_package(which));
-      names.push_back(which);
-    }
-    for (const std::string& spec : split_list(packages, ',')) {
-      const std::size_t eq = spec.find('=');
-      if (eq == std::string::npos || eq == 0 || eq + 1 >= spec.size()) {
-        std::cerr << "vsq_serve_net: --packages entries must be name=path, got: " << spec << "\n";
-        return 2;
-      }
-      registry.load(spec.substr(0, eq), QuantizedModelPackage::load(spec.substr(eq + 1)));
-      names.push_back(spec.substr(0, eq));
-    }
+    models = parse_serving_models(builtin, packages);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "vsq_serve_net: " << e.what() << "\n";
+    return 2;
+  }
+  ModelRegistry registry(cfg);
+  try {
+    for (const ServingModelSpec& m : models) registry.load(m.name, m.build());
   } catch (const std::exception& e) {
     std::cerr << "vsq_serve_net: model load failed: " << e.what() << "\n";
     return 1;
-  }
-  if (names.empty()) {
-    std::cerr << "vsq_serve_net: no models (--builtin and --packages both empty)\n";
-    return 2;
   }
 
   std::signal(SIGINT, handle_signal);
@@ -107,8 +82,8 @@ int main(int argc, char** argv) {
 
   try {
     vsq::net::NetServer server(registry, net_cfg);
-    std::cout << "serving " << names.size() << " models (";
-    for (std::size_t i = 0; i < names.size(); ++i) std::cout << (i ? ", " : "") << names[i];
+    std::cout << "serving " << models.size() << " models (";
+    for (std::size_t i = 0; i < models.size(); ++i) std::cout << (i ? ", " : "") << models[i].name;
     std::cout << "), max_batch=" << cfg.max_batch << ", queue_depth=" << cfg.queue_depth
               << ", admission_timeout_us=" << cfg.admission_timeout_us << "\n";
     std::cout << "cpu: " << isa::summary() << "\n";
@@ -122,7 +97,7 @@ int main(int argc, char** argv) {
       // is audited bit-exact against local sequential execution
       // through the same runner.
       vsq::net::NetClient client(server.host(), server.port());
-      const QuantizedModelRunner& runner = registry.session(names.front())->runner();
+      const QuantizedModelRunner& runner = registry.session(models.front().name)->runner();
       std::vector<std::vector<float>> payloads;
       if (runner.seq()) {
         const auto max_seq = static_cast<std::size_t>(runner.max_seq());
@@ -139,7 +114,7 @@ int main(int argc, char** argv) {
       }
       vsq::net::ResponseFrame resp;
       for (const auto& payload : payloads) {
-        resp = client.infer(names.front(), payload);
+        resp = client.infer(models.front().name, payload);
         if (resp.status != vsq::net::Status::kOk) {
           std::cerr << "vsq_serve_net: selfcheck inference failed: "
                     << vsq::net::status_name(resp.status) << " " << resp.message << "\n";

@@ -3,12 +3,12 @@
 // is compared bit-for-bit against a fresh sequential single-sample
 // reference runner built independently of the serving stack. K client
 // threads hammer the registry with interleaved traffic across every
-// loaded model (MLP and CNN programs), submit random-size request bursts
-// to vary batch pressure, and a chaos thread hot-unloads and reloads
-// models mid-run — the audit must stay clean through all of it. This is
-// the standing concurrency oracle for the serving engine: any batching,
-// routing, caching or drain bug that alters even one output bit fails the
-// run.
+// loaded model (MLP, CNN and token-row sequence programs), submit
+// random-size request bursts to vary batch pressure, and a chaos thread
+// hot-unloads and reloads models mid-run — the audit must stay clean
+// through all of it. This is the standing concurrency oracle for the
+// serving engine: any batching, routing, caching or drain bug that alters
+// even one output bit fails the run.
 //
 // Network mode (--net) runs the same oracle ACROSS THE WIRE: an
 // in-process NetServer (src/net/server.h) fronts the registry on an
@@ -24,7 +24,8 @@
 // server-side assertions are disabled; the audit still applies when the
 // remote serves the same deterministic builtins).
 //
-//   vsq_soak [--builtin=tiny,tiny8,tiny_conv,resnet]   in-process models
+//   vsq_soak [--builtin=tiny,tiny8,tiny_conv,tiny_bert,resnet]
+//                                                      in-process models
 //            [--packages=name=path,name2=path]         .vsqa archives
 //            [--clients=8] [--requests=1024]           total, all clients
 //            [--burst-max=4]      requests submitted per client iteration
@@ -73,7 +74,6 @@
 #include <cstring>
 #include <exception>
 #include <fstream>
-#include <functional>
 #include <future>
 #include <iterator>
 #include <iostream>
@@ -100,33 +100,15 @@ namespace {
 
 using namespace vsq;
 
-// One model the soak serves: how to (re)build its package — called once
-// for the reference copy, once for the initial load, and again on every
-// chaos reload — plus the audit state derived from the reference copy.
-struct SoakModel {
-  std::string name;
-  std::function<QuantizedModelPackage()> build;
-
+// One model the soak serves: its spec, whose build() makes the package —
+// called once for the reference copy and again on every chaos reload —
+// plus the audit state derived from the reference copy.
+struct SoakModel : ServingModelSpec {
   QuantizedModelPackage ref_pkg;                   // independent copy
   std::unique_ptr<QuantizedModelRunner> ref;       // sequential oracle
-  std::vector<Tensor> inputs;                      // [1, in] pool
+  std::vector<Tensor> inputs;                      // [1, n] request pool
   std::vector<Tensor> expected;                    // ref outputs, per input
 };
-
-std::vector<std::string> split_list(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= s.size()) {
-    const std::size_t end = s.find(sep, start);
-    if (end == std::string::npos) {
-      if (start < s.size()) out.push_back(s.substr(start));
-      break;
-    }
-    if (end > start) out.push_back(s.substr(start, end - start));
-    start = end + 1;
-  }
-  return out;
-}
 
 // Resident set size in bytes (/proc/self/statm field 2, pages). 0 when
 // unreadable (non-Linux), which disables the RSS gate.
@@ -154,7 +136,7 @@ int main(int argc, char** argv) {
   if (!apply_threads_flag(args)) return 2;
   const std::string packages = args.get_str("packages", "");
   const std::string builtin =
-      args.get_str("builtin", packages.empty() ? "tiny,tiny8,tiny_conv,resnet" : "");
+      args.get_str("builtin", packages.empty() ? "tiny,tiny8,tiny_conv,tiny_bert,resnet" : "");
   const int clients = std::max(1, args.get_int("clients", 8));
   const auto total_requests = static_cast<std::uint64_t>(std::max(1, args.get_int("requests", 1024)));
   const int burst_max = std::max(1, args.get_int("burst-max", 4));
@@ -203,22 +185,12 @@ int main(int argc, char** argv) {
 
   // ---- Assemble the model mix ----
   std::vector<SoakModel> models;
-  for (const std::string& which : split_list(builtin, ',')) {
-    models.push_back(
-        SoakModel{which, [which] { return builtin_serving_package(which); }, {}, {}, {}, {}});
-  }
-  for (const std::string& spec : split_list(packages, ',')) {
-    const std::size_t eq = spec.find('=');
-    if (eq == std::string::npos || eq == 0 || eq + 1 >= spec.size()) {
-      std::cerr << "vsq_soak: --packages entries must be name=path, got: " << spec << "\n";
-      return 2;
+  try {
+    for (ServingModelSpec& spec : parse_serving_models(builtin, packages)) {
+      models.push_back(SoakModel{std::move(spec), {}, {}, {}, {}});
     }
-    const std::string name = spec.substr(0, eq), path = spec.substr(eq + 1);
-    models.push_back(
-        SoakModel{name, [path] { return QuantizedModelPackage::load(path); }, {}, {}, {}, {}});
-  }
-  if (models.empty()) {
-    std::cerr << "vsq_soak: no models (--builtin and --packages both empty)\n";
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "vsq_soak: " << e.what() << "\n";
     return 2;
   }
 
@@ -229,13 +201,8 @@ int main(int argc, char** argv) {
       SoakModel& sm = models[m];
       sm.ref_pkg = sm.build();
       sm.ref = std::make_unique<QuantizedModelRunner>(sm.ref_pkg, cfg.scale_product_bits);
-      const std::int64_t in = sm.ref->in_features();
       Rng rng(seed + 7919ull * (m + 1));
-      for (int i = 0; i < unique; ++i) {
-        Tensor t(Shape{1, in});
-        for (auto& v : t.span()) v = static_cast<float>(rng.normal());
-        sm.inputs.push_back(std::move(t));
-      }
+      for (int i = 0; i < unique; ++i) sm.inputs.push_back(random_serving_input(*sm.ref, rng));
       if (check) {
         // The differential oracle: sequential single-sample execution
         // through an independently built runner, computed before any
