@@ -17,6 +17,7 @@
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "util/scratch.h"
+#include "util/thread_pool.h"
 
 namespace vsq {
 namespace {
@@ -921,6 +922,7 @@ QuantizedModelRunner::QuantizedModelRunner(const QuantizedModelPackage& pkg,
         }
         if (cur.features < 0) in_features_ = w.cols();
         cur.features = w.rows;
+        unit_macs_ += w.rows * w.cols();
         fresh_h = true;
         break;
       }
@@ -952,6 +954,7 @@ QuantizedModelRunner::QuantizedModelRunner(const QuantizedModelPackage& pkg,
           throw std::invalid_argument("QuantizedModelRunner: conv " + step.layer +
                                       " produces an empty output");
         }
+        unit_macs_ += g.out_h() * g.out_w() * layer->weights.rows * layer->weights.cols();
         *d = ActDims{true, g.out_h(), g.out_w(), layer->weights.rows, -1};
         if (step.op == Op::kConv) fresh_h = true;
         break;
@@ -1032,6 +1035,7 @@ QuantizedModelRunner::QuantizedModelRunner(const QuantizedModelPackage& pkg,
                                         step.layer + suffixes[p] +
                                         " is not a square model-width layer");
           }
+          unit_macs_ += w.rows * w.cols();
         }
         fresh_h = true;
         break;
@@ -1080,10 +1084,9 @@ std::vector<ForwardStep> QuantizedModelRunner::mlp_program(const QuantizedModelP
 }
 
 Tensor QuantizedModelRunner::forward(const Tensor& x, IntGemmStats* stats) const {
-  using Op = ForwardStep::Op;
   // Input side: a token batch validates and packs its rows to Σlens
-  // offsets (read by the embed and attention steps); flat rows stay 2-D
-  // with `off` empty, and image rows reshape to NHWC.
+  // offsets (read by the embed and attention steps); flat and image rows
+  // keep `off` empty.
   std::vector<std::int64_t> off;
   if (seq_) {
     off = token_row_offsets(x, max_seq_, vocab_);
@@ -1091,6 +1094,56 @@ Tensor QuantizedModelRunner::forward(const Tensor& x, IntGemmStats* stats) const
     throw std::invalid_argument("QuantizedModelRunner: input must be [rows, " +
                                 std::to_string(in_features_) + "]");
   }
+  // Split into groups >= 2 only with two rows, two pool threads and twice
+  // kMinTaskMacs of work, and never for a stats run.
+  const std::int64_t rows = x.shape()[0];
+  const std::int64_t units = seq_ ? off.back() : rows;
+  ThreadPool& pool = current_pool();
+  const std::int64_t groups =
+      stats != nullptr ? 1
+                       : std::min({rows, static_cast<std::int64_t>(pool.concurrency()),
+                                   units * unit_macs_ / kMinTaskMacs});
+  if (groups < 2) return run_steps(x, off, stats);
+
+  // Contiguous row groups of about units / groups each: every cut sits on
+  // the row boundary nearest its target, keeping at least one row per group.
+  const auto units_before = [&](std::int64_t r) { return seq_ ? off[r] : r; };
+  std::vector<std::int64_t> cut(groups + 1, rows);
+  cut[0] = 0;
+  for (std::int64_t g = 1; g < groups; ++g) {
+    const std::int64_t target = units * g / groups;
+    std::int64_t r = cut[g - 1] + 1;
+    while (r < rows && units_before(r) < target) ++r;
+    if (target - units_before(r - 1) < units_before(r) - target) --r;
+    cut[g] = std::clamp(r, cut[g - 1] + 1, rows - (groups - g));
+  }
+
+  // Each group runs the whole step loop as one pool task and writes its
+  // own rows of y. Rows are independent, so y holds the same bits as one
+  // unsplit run; a sequence group re-bases its offsets (and carries its
+  // own pad row when one of its rows is padded).
+  const std::int64_t width = seq_ ? x.shape()[1] * out_per_token_ : out_features_;
+  Tensor y(Shape{rows, width});
+  pool.parallel_for(
+      0, static_cast<std::size_t>(groups),
+      [&](std::size_t gb, std::size_t ge) {
+        for (std::size_t g = gb; g < ge; ++g) {
+          const std::int64_t r0 = cut[g], r1 = cut[g + 1];
+          std::vector<std::int64_t> group_off;
+          if (seq_) {
+            for (std::int64_t r = r0; r <= r1; ++r) group_off.push_back(off[r] - off[r0]);
+          }
+          const Tensor part = run_steps(x.view_rows(r0, r1), group_off, nullptr);
+          std::copy_n(part.data(), part.numel(), y.data() + r0 * width);
+        }
+      },
+      1);
+  return y;
+}
+
+Tensor QuantizedModelRunner::run_steps(const Tensor& x, const std::vector<std::int64_t>& off,
+                                       IntGemmStats* stats) const {
+  using Op = ForwardStep::Op;
   const std::int64_t rows = x.shape()[0];
   Tensor h = spatial_ ? x.reshape(Shape{rows, pkg_->in_h, pkg_->in_w, pkg_->in_c}) : x;
   Tensor saved;

@@ -214,6 +214,14 @@ Tensor run_packaged_conv_layer(const QuantizedLayerPackage& layer, const Tensor&
 // own input row/image, so results are bit-identical for any batch
 // composition and any thread count.
 //
+// Parallelism: a batched forward worth at least two pool tasks (see
+// forward()) cuts its samples into contiguous groups, one per pool thread
+// at most, and runs each group's step loop as one task; the kernels under
+// a group then run inline (the pool's nesting rule, util/thread_pool.h),
+// so activation quantization, layernorm, attention and GELU run in
+// parallel with the GEMMs. Any other forward runs the step loop on the
+// caller, and each kernel splits its own rows.
+//
 // Every package kind runs through ONE loop over a step table resolved at
 // load (each step's op, ReLU flag, primitives and fp parameter set), with
 // one arm per op. Only the two ends of forward() depend on the kind:
@@ -256,7 +264,25 @@ class QuantizedModelRunner {
 
   // x: [rows, in_features]. Returns [rows, out_features]. Thread-safe for
   // concurrent calls (stats accumulation excepted: pass distinct `stats`).
+  //
+  // The batch splits by sample across current_pool() when it has two or
+  // more rows, `stats` is null, and its MACs (units x unit_macs(), the
+  // units being rows, or real tokens for a sequence program) reach twice
+  // kMinTaskMacs. It then runs as min(rows, pool concurrency,
+  // MACs / kMinTaskMacs) groups balanced by units. A datapath-stats run
+  // stays unsplit, so its counters need no merge. Outputs are the same
+  // bits either way.
   Tensor forward(const Tensor& x, IntGemmStats* stats = nullptr) const;
+
+  // Smallest share of a batched forward worth one pool task: 256 Ki MACs
+  // is ~65 us of runner work at the ~4 GMAC/s a batch-1 tiny-MLP forward
+  // achieves on a 4-vCPU AVX-512 VM, 5-10x the 6-13 us fork/join of a
+  // 2-4-chunk parallel_for there.
+  static constexpr std::int64_t kMinTaskMacs = std::int64_t{1} << 18;
+  // MACs of the program's integer GEMMs per input unit: one row (MLP), one
+  // image (CNN), or one token (sequence; the four attention projections
+  // included, the fp score/context products not).
+  std::int64_t unit_macs() const { return unit_macs_; }
 
   std::int64_t in_features() const { return in_features_; }
   std::int64_t out_features() const { return out_features_; }
@@ -287,6 +313,12 @@ class QuantizedModelRunner {
     const EmbeddingPackage* embed = nullptr;
   };
 
+  // The step loop over x's rows: `off` holds the token-row offsets of a
+  // sequence program (empty otherwise). forward() runs it once on the
+  // caller, or once per sample group.
+  Tensor run_steps(const Tensor& x, const std::vector<std::int64_t>& off,
+                   IntGemmStats* stats) const;
+
   const QuantizedModelPackage* pkg_;
   std::vector<ForwardStep> program_;
   std::map<std::string, IntLayerPrimitive> prims_;  // resolved at load time
@@ -296,6 +328,7 @@ class QuantizedModelRunner {
   bool seq_ = false;      // program starts on a token row (kEmbed first)
   std::int64_t in_features_ = 0, out_features_ = 0;
   std::int64_t max_seq_ = 0, out_per_token_ = 0, vocab_ = 0;
+  std::int64_t unit_macs_ = 0;
 };
 
 // RAII deployment runner: installs a GEMM override on every listed layer so

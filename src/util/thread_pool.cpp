@@ -8,9 +8,10 @@
 
 namespace vsq {
 namespace {
-// Set on pool worker threads so nested parallel_for calls run serially
-// instead of blocking a worker on chunks only that same worker could run.
-thread_local bool t_in_pool_worker = false;
+// Set on pool worker threads, and on a caller while it runs its own chunk,
+// so nested parallel_for calls run serially instead of queueing behind the
+// sibling chunks that occupy the pool.
+thread_local bool t_in_parallel_region = false;
 
 // Innermost ThreadPoolScope pool for this thread (nullptr = global pool).
 thread_local ThreadPool* t_current_pool = nullptr;
@@ -41,7 +42,7 @@ ThreadPool::ThreadPool(std::size_t n_threads) {
   workers_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
     workers_.emplace_back([this] {
-      t_in_pool_worker = true;
+      t_in_parallel_region = true;
       for (;;) {
         std::function<void()> task;
         {
@@ -78,11 +79,12 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
                               const std::function<void(std::size_t, std::size_t)>& fn,
                               std::size_t grain) {
   if (end <= begin) return;
-  // Nested call from inside a pool worker: run serially. The other workers
-  // are busy with the outer loop, and parking this worker on a latch for
-  // queue entries that only the parked workers could execute deadlocks on
-  // small machines.
-  if (t_in_pool_worker) {
+  // Nested call from inside a parallel region (a pool worker, or the
+  // caller running its own chunk): run serially. The other workers are
+  // busy with the outer loop; parking on a latch for queue entries only
+  // they could run deadlocks on small machines, and fanning out from the
+  // caller's chunk would only queue behind its sibling chunks.
+  if (t_in_parallel_region) {
     fn(begin, end);
     return;
   }
@@ -130,12 +132,15 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
       latch->cv.notify_one();
     });
   }
+  // The caller's own chunk is inside the region too (see the nesting rule).
   std::exception_ptr local_error;
+  t_in_parallel_region = true;
   try {
     fn(begin, std::min(end, begin + chunk));
   } catch (...) {
     local_error = std::current_exception();
   }
+  t_in_parallel_region = false;
   {
     std::unique_lock lock(latch->mu);
     latch->cv.wait(lock, [&] { return latch->remaining == 0; });

@@ -1,5 +1,12 @@
-// Minimal work-stealing-free thread pool with a parallel_for helper.
-// GEMM, conv and batch evaluation use this to keep both cores busy.
+// Minimal work-stealing-free thread pool with a parallel_for helper, used
+// by the GEMM, conv and quantizer kernels and by a batched runner forward
+// (quant/export.h), which splits its samples across the pool once.
+//
+// Nesting rule: a parallel_for issued from inside a chunk of another one
+// that split across threads, on a pool worker or on the caller running its
+// own chunk, runs inline on that thread. Parallelism comes from the
+// outermost split only, so a kernel called under a runner's sample split
+// never forks again.
 #pragma once
 
 #include <condition_variable>
@@ -27,7 +34,9 @@ class ThreadPool {
 
   // Runs fn(begin..end) split into roughly equal contiguous chunks across
   // the pool plus the calling thread; blocks until all chunks finish.
-  // fn receives (chunk_begin, chunk_end).
+  // fn receives (chunk_begin, chunk_end). A call from inside a chunk of
+  // another split parallel_for runs fn(begin, end) inline (the nesting
+  // rule above).
   //
   // `grain` is a cost hint: the minimum number of indices per chunk. Loops
   // whose total size is <= grain run inline on the calling thread with no

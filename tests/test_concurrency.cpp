@@ -1,15 +1,17 @@
 // Concurrency stress: the global ThreadPool hammered with parallel_for
 // from many client threads at once, per-thread ScratchArena mark/rewind
-// discipline under that load, ThreadPoolScope routing, and a full
-// InferenceSession under concurrent clients. Runs under the ASan/UBSan CI
-// job (labeled "slow" — the sanitizer workflow invokes the label
-// explicitly; plain ctest runs it too).
+// discipline under that load, ThreadPoolScope routing, the pool's nesting
+// rule, and a full InferenceSession under concurrent clients. Runs under
+// the ASan/UBSan CI job (labeled "slow" — the sanitizer workflow invokes
+// the label explicitly; plain ctest runs it too).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstring>
+#include <mutex>
 #include <numeric>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "exp/ptq.h"
@@ -151,6 +153,36 @@ TEST(ThreadPoolScope, RoutesFreeParallelForToScopedPool) {
     other.join();
   }
   EXPECT_EQ(&current_pool(), &ThreadPool::global());
+}
+
+TEST(ThreadPool, NestedParallelForRunsOnTheIssuingThread) {
+  // A parallel_for issued from inside a chunk of a split one runs inline on
+  // that chunk's thread, on the caller's own chunk as on a worker's: the
+  // outer split already occupies the pool, and a batched runner forward
+  // relies on this to run the kernels under each sample group inline.
+  ThreadPool pool(3);
+  ThreadPoolScope scope(pool);
+  std::mutex mu;
+  std::vector<std::pair<std::thread::id, std::thread::id>> nested;  // (issuer, runner)
+  for (int rep = 0; rep < 50; ++rep) {
+    parallel_for(
+        0, 3,
+        [&](std::size_t, std::size_t) {
+          const std::thread::id issuer = std::this_thread::get_id();
+          parallel_for(
+              0, 3,
+              [&](std::size_t, std::size_t) {
+                std::lock_guard lock(mu);
+                nested.emplace_back(issuer, std::this_thread::get_id());
+              },
+              /*grain=*/1);
+        },
+        /*grain=*/1);
+  }
+  ASSERT_FALSE(nested.empty());
+  std::size_t off_thread = 0;
+  for (const auto& [issuer, ran_on] : nested) off_thread += issuer != ran_on;
+  EXPECT_EQ(off_thread, 0u) << "of " << nested.size() << " nested chunks";
 }
 
 TEST(ServeConcurrencyStress, ManyClientsManyRequests) {

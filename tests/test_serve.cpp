@@ -350,6 +350,23 @@ TEST(Determinism, RunnerBitIdenticalAcrossThreadCounts) {
   }
   expect_bitwise_equal(y1, y8);
 
+  // 64 rows split into 21/21/22-row groups on 3 threads: an uneven split
+  // into more than two groups, against the unsplit 1-thread run.
+  const Tensor big = random_rows(64, TinyMlp::kIn, 13);
+  ASSERT_GE(64 * runner.unit_macs(), 3 * QuantizedModelRunner::kMinTaskMacs);
+  Tensor b1, b3;
+  {
+    ThreadPool pool1(1);
+    ThreadPoolScope scope(pool1);
+    b1 = runner.forward(big);
+  }
+  {
+    ThreadPool pool3(3);
+    ThreadPoolScope scope(pool3);
+    b3 = runner.forward(big);
+  }
+  expect_bitwise_equal(b1, b3);
+
   // Unbatched rows, same story — and identical to the batched rows.
   for (std::int64_t r = 0; r < batch.shape()[0]; ++r) {
     const Tensor row = batch.slice_rows(r, r + 1);

@@ -13,6 +13,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "exp/ptq.h"
 #include "hw/mac_config.h"
@@ -24,6 +25,7 @@
 #include "quant/export.h"
 #include "serve/session.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace vsq {
 namespace {
@@ -214,6 +216,63 @@ TEST(TransformerRunner, BatchedMixedLengthsMatchSequentialBitExactly) {
         ASSERT_EQ(alone[i], all.at2(r, i))
             << "row " << r << " (len " << l << ") at width " << t << " diverged at " << i;
       }
+    }
+  }
+}
+
+TEST(TransformerRunner, BitIdenticalAcrossThreadCounts) {
+  // A batched forward splits its rows into contiguous groups balanced by
+  // token count, one per pool thread at most. Row 0 is the only
+  // full-length row (its length is the batch width, below max_seq) and
+  // holds about a third of the tokens, so on 3 threads it forms a group
+  // with no padded row (and no pad row) while the other two groups each
+  // carry their own pad row.
+  const QuantizedModelRunner runner(bert_pkg());
+  const std::int64_t t = runner.max_seq() * 3 / 4;
+  const std::int64_t opt = runner.out_per_token();
+  const std::vector<std::int64_t> lens{t, 1, 2, 5, 1, 3, 7, 1, 4, 2, 8, 1, 6, 3, 1, 2};
+  const Tensor batch = padded_tokens(lens, t, runner.vocab(), 5150);
+  std::int64_t tokens = 0;
+  for (const std::int64_t l : lens) tokens += l;
+  ASSERT_GE(tokens * runner.unit_macs(), 3 * QuantizedModelRunner::kMinTaskMacs)
+      << "the batch no longer splits three ways on 3 threads";
+
+  std::optional<Tensor> y1;
+  std::optional<IntGemmStats> stats1;
+  for (const std::size_t threads : {1, 3, 8}) {
+    ThreadPool pool(threads);
+    ThreadPoolScope scope(pool);
+    const Tensor y = runner.forward(batch);
+    // A datapath-stats run stays unsplit, and its counters exact.
+    IntGemmStats stats;
+    const Tensor ys = runner.forward(batch, &stats);
+    if (!y1) {
+      y1.emplace(y);
+      stats1 = stats;
+    }
+    ASSERT_EQ(y.shape(), y1->shape());
+    for (std::int64_t i = 0; i < y.numel(); ++i) {
+      ASSERT_EQ(y[i], (*y1)[i]) << threads << " threads diverged at " << i;
+      ASSERT_EQ(ys[i], (*y1)[i]) << threads << " threads, stats run, diverged at " << i;
+    }
+    EXPECT_EQ(stats.vector_ops, stats1->vector_ops) << threads << " threads";
+    EXPECT_EQ(stats.zero_scale_products, stats1->zero_scale_products) << threads << " threads";
+    EXPECT_EQ(stats.zero_dot_products, stats1->zero_dot_products) << threads << " threads";
+    EXPECT_EQ(stats.panels_packed, stats1->panels_packed) << threads << " threads";
+    EXPECT_EQ(stats.panels_unpacked_materialized, stats1->panels_unpacked_materialized)
+        << threads << " threads";
+    EXPECT_EQ(stats.max_abs_psum, stats1->max_abs_psum) << threads << " threads";
+  }
+  EXPECT_GT(stats1->vector_ops, 0u);
+
+  for (std::size_t r = 0; r < lens.size(); ++r) {
+    const auto row = static_cast<std::int64_t>(r);
+    Tensor one(Shape{1, lens[r]});
+    for (std::int64_t j = 0; j < lens[r]; ++j) one.at2(0, j) = batch.at2(row, j);
+    const Tensor y = runner.forward(one);
+    ASSERT_EQ(y.numel(), lens[r] * opt);
+    for (std::int64_t i = 0; i < y.numel(); ++i) {
+      ASSERT_EQ(y[i], y1->at2(row, i)) << "row " << r << " diverged at " << i;
     }
   }
 }
