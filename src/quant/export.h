@@ -276,8 +276,11 @@ class QuantizedModelRunner {
 
   // Smallest share of a batched forward worth one pool task: 256 Ki MACs
   // is ~65 us of runner work at the ~4 GMAC/s a batch-1 tiny-MLP forward
-  // achieves on a 4-vCPU AVX-512 VM, 5-10x the 6-13 us fork/join of a
-  // 2-4-chunk parallel_for there.
+  // achieves on a 4-vCPU AVX-512 VM. The value was set when a fork there
+  // cost its caller a worker's wake-up and then its own (an empty 2-chunk
+  // parallel_for: 16.5-18.7 us p50; 4 chunks: 17.5-27.4 us). Now that the
+  // caller runs every chunk no worker has claimed, the same forks take
+  // 0.5-1.9 and 0.5-2.1 us (bench/fork_join.cpp); the value is unchanged.
   static constexpr std::int64_t kMinTaskMacs = std::int64_t{1} << 18;
   // MACs of the program's integer GEMMs per input unit: one row (MLP), one
   // image (CNN), or one token (sequence; the four attention projections

@@ -56,8 +56,9 @@ bool apply_threads_flag(const Args& args) {
   } catch (const std::exception&) {
     threads = -1;
   }
-  if (threads < 0) {
-    std::cerr << "--threads must be >= 0 (0 = hardware concurrency)\n";
+  if (threads < 0 || static_cast<std::size_t>(threads) > ThreadPool::kMaxThreads) {
+    std::cerr << "--threads must be in [0, " << ThreadPool::kMaxThreads
+              << "] (0 = hardware concurrency)\n";
     return false;
   }
   ThreadPool::set_global_threads(static_cast<std::size_t>(threads));

@@ -30,8 +30,8 @@ class Args {
 // Shared --threads=N handling for every CLI tool: pins the global thread
 // pool when the flag was passed (0 = hardware concurrency), otherwise
 // leaves the VSQ_THREADS environment fallback in effect. Returns false
-// after printing a diagnostic to stderr when the value is invalid — the
-// caller should exit non-zero.
+// after printing a diagnostic to stderr when the value is not an integer
+// in [0, ThreadPool::kMaxThreads] — the caller should exit non-zero.
 bool apply_threads_flag(const Args& args);
 
 }  // namespace vsq

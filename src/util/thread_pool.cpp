@@ -6,19 +6,26 @@
 #include <exception>
 #include <stdexcept>
 
+#include "fault/failpoint.h"
+
 namespace vsq {
 namespace {
-// Set on pool worker threads, and on a caller while it runs its own chunk,
-// so nested parallel_for calls run serially instead of queueing behind the
-// sibling chunks that occupy the pool.
+// Set on pool worker threads, and on a caller while it runs its claimed
+// chunks, so nested parallel_for calls run serially instead of queueing
+// behind the sibling chunks that occupy the pool.
 thread_local bool t_in_parallel_region = false;
 
 // Innermost ThreadPoolScope pool for this thread (nullptr = global pool).
 thread_local ThreadPool* t_current_pool = nullptr;
 
-// Requested global-pool size: SIZE_MAX = unset, 0 = hardware_concurrency.
+// Requested global-pool size: SIZE_MAX = unset, 0 = default_threads().
 std::atomic<std::size_t> g_requested_threads{static_cast<std::size_t>(-1)};
 std::atomic<bool> g_global_created{false};
+
+std::size_t default_threads() {
+  const unsigned hc = std::thread::hardware_concurrency();
+  return hc > 0 ? hc : 2;
+}
 
 std::size_t resolve_global_threads() {
   const std::size_t req = g_requested_threads.load();
@@ -26,39 +33,77 @@ std::size_t resolve_global_threads() {
   if (const char* env = std::getenv("VSQ_THREADS")) {
     char* endp = nullptr;
     const long v = std::strtol(env, &endp, 10);
-    if (endp != env && *endp == '\0' && v >= 0) return static_cast<std::size_t>(v);
+    if (endp != env && *endp == '\0' && v >= 0 &&
+        static_cast<unsigned long>(v) <= ThreadPool::kMaxThreads) {
+      return static_cast<std::size_t>(v);
+    }
   }
-  return 0;  // hardware_concurrency
+  return 0;  // default_threads()
 }
 }  // namespace
 
-ThreadPool::ThreadPool(std::size_t n_threads) {
-  if (n_threads == 0) {
-    const unsigned hc = std::thread::hardware_concurrency();
-    n_threads = hc > 0 ? hc : 2;
+// One split parallel_for. Chunk c covers [begin + c*chunk, begin +
+// (c+1)*chunk) clipped to end; `next` is the claim cursor. Wake-ups share
+// ownership, so a worker that took one just before the caller withdrew
+// the rest may look at the job after the caller has returned: it sees
+// every chunk claimed and leaves fn alone.
+struct ThreadPool::Job {
+  Job(const std::function<void(std::size_t, std::size_t)>& f, std::size_t b, std::size_t e,
+      std::size_t n)
+      : fn(&f), begin(b), end(e), n_chunks(n), chunk((e - b + n - 1) / n) {}
+
+  // Claims and runs chunks until none is left unclaimed. Returns true if
+  // this thread finished the job's last running chunk.
+  bool run_chunks() {
+    bool finished_last = false;
+    std::unique_lock lock(mu);
+    while (next < n_chunks) {
+      const std::size_t b = begin + next++ * chunk;
+      lock.unlock();
+      std::exception_ptr chunk_error;
+      try {
+        if (b < end) (*fn)(b, std::min(end, b + chunk));
+      } catch (...) {
+        chunk_error = std::current_exception();
+      }
+      lock.lock();
+      if (chunk_error && !error) error = std::move(chunk_error);
+      finished_last = ++finished == n_chunks;
+    }
+    return finished_last;
   }
+
+  // Owned by the caller, which returns only once every claimed chunk has
+  // finished; only a thread holding a claimed chunk calls it.
+  const std::function<void(std::size_t, std::size_t)>* fn;
+  const std::size_t begin, end, n_chunks, chunk;
+  std::mutex mu;  // guards the fields below
+  std::condition_variable done;  // signalled when `finished` reaches n_chunks
+  std::size_t next = 0;
+  std::size_t finished = 0;
+  std::exception_ptr error;  // first exception a chunk threw
+};
+
+ThreadPool::ThreadPool(std::size_t n_threads) {
+  if (n_threads == 0) n_threads = default_threads();
   // The calling thread participates in parallel_for, so spawn one fewer.
   const std::size_t workers = n_threads > 1 ? n_threads - 1 : 0;
   workers_.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] {
-      t_in_parallel_region = true;
-      for (;;) {
-        std::function<void()> task;
-        {
-          std::unique_lock lock(mu_);
-          cv_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
-          if (stop_ && tasks_.empty()) return;
-          task = std::move(tasks_.front());
-          tasks_.pop();
-        }
-        task();  // tasks are noexcept wrappers (see parallel_for)
-      }
-    });
+  try {
+    for (std::size_t i = 0; i < workers; ++i) {
+      workers_.emplace_back([this] { work(); });
+      VSQ_FAILPOINT("thread_pool.spawn");  // a spawn failing with workers running
+    }
+  } catch (...) {
+    // Destroying a joinable std::thread terminates the process.
+    join_workers();
+    throw;
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { join_workers(); }
+
+void ThreadPool::join_workers() {
   {
     std::lock_guard lock(mu_);
     stop_ = true;
@@ -67,12 +112,19 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    std::lock_guard lock(mu_);
-    tasks_.push(std::move(task));
+void ThreadPool::work() {
+  t_in_parallel_region = true;
+  for (;;) {
+    std::shared_ptr<Job> job;
+    {
+      std::unique_lock lock(mu_);
+      cv_.wait(lock, [this] { return stop_ || !wakeups_.empty(); });
+      if (stop_ && wakeups_.empty()) return;
+      job = std::move(wakeups_.front());
+      wakeups_.pop_front();
+    }
+    if (job->run_chunks()) job->done.notify_one();  // the caller may be waiting
   }
-  cv_.notify_one();
 }
 
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
@@ -80,10 +132,9 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
                               std::size_t grain) {
   if (end <= begin) return;
   // Nested call from inside a parallel region (a pool worker, or the
-  // caller running its own chunk): run serially. The other workers are
-  // busy with the outer loop; parking on a latch for queue entries only
-  // they could run deadlocks on small machines, and fanning out from the
-  // caller's chunk would only queue behind its sibling chunks.
+  // caller running one of its claimed chunks): run serially. The other
+  // workers are busy with the outer loop, and fanning out from inside a
+  // chunk would only queue behind its sibling chunks.
   if (t_in_parallel_region) {
     fn(begin, end);
     return;
@@ -98,55 +149,31 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
     fn(begin, end);
     return;
   }
-  // Shared-ownership completion latch: workers hold a reference so the
-  // latch outlives the caller's wait even if a worker is still inside
-  // notify when the caller wakes (avoids use-after-free on the mutex/cv).
-  // The first exception thrown by any chunk is captured and rethrown on
-  // the calling thread after every chunk has finished (fn must stay alive
-  // until the last worker returns).
-  struct Latch {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::size_t remaining;
-    std::exception_ptr error;
-  };
-  auto latch = std::make_shared<Latch>();
-  latch->remaining = n_chunks - 1;
-
-  const std::size_t chunk = (n + n_chunks - 1) / n_chunks;
-  // Chunks 1..n-1 go to the pool; chunk 0 runs on the calling thread.
-  for (std::size_t c = 1; c < n_chunks; ++c) {
-    const std::size_t b = begin + c * chunk;
-    const std::size_t e = std::min(end, b + chunk);
-    submit([latch, &fn, b, e] {
-      try {
-        if (b < e) fn(b, e);
-      } catch (...) {
-        std::lock_guard lock(latch->mu);
-        if (!latch->error) latch->error = std::current_exception();
-      }
-      {
-        std::lock_guard lock(latch->mu);
-        --latch->remaining;
-      }
-      latch->cv.notify_one();
-    });
-  }
-  // The caller's own chunk is inside the region too (see the nesting rule).
-  std::exception_ptr local_error;
-  t_in_parallel_region = true;
-  try {
-    fn(begin, std::min(end, begin + chunk));
-  } catch (...) {
-    local_error = std::current_exception();
-  }
-  t_in_parallel_region = false;
+  // Invite one worker per chunk beyond the caller's first, then claim
+  // alongside them (the claim rule in the header). fn stays alive until
+  // the wait below: every chunk that runs it has finished by then.
+  const auto job = std::make_shared<Job>(fn, begin, end, n_chunks);
   {
-    std::unique_lock lock(latch->mu);
-    latch->cv.wait(lock, [&] { return latch->remaining == 0; });
+    std::lock_guard lock(mu_);
+    wakeups_.insert(wakeups_.end(), n_chunks - 1, job);
   }
-  if (local_error) std::rethrow_exception(local_error);
-  if (latch->error) std::rethrow_exception(latch->error);
+  for (std::size_t i = 1; i < n_chunks; ++i) cv_.notify_one();
+  // The caller's chunks are inside the region too (see the nesting rule).
+  t_in_parallel_region = true;
+  job->run_chunks();
+  t_in_parallel_region = false;
+  // Every chunk is claimed now. Withdraw the wake-ups no worker has taken,
+  // so they do not pile up, each holding its job, while the workers are
+  // busy elsewhere, and a worker woken for one goes back to sleep.
+  {
+    std::lock_guard lock(mu_);
+    std::erase(wakeups_, job);
+  }
+  {
+    std::unique_lock lock(job->mu);
+    job->done.wait(lock, [&] { return job->finished == n_chunks; });
+  }
+  if (job->error) std::rethrow_exception(job->error);
 }
 
 ThreadPool& ThreadPool::global() {
@@ -157,10 +184,8 @@ ThreadPool& ThreadPool::global() {
 
 void ThreadPool::set_global_threads(std::size_t n_threads) {
   if (g_global_created.load()) {
-    const std::size_t have = global().concurrency();
-    const std::size_t want =
-        n_threads == 0 ? std::max(1u, std::thread::hardware_concurrency()) : n_threads;
-    if (have != want) {
+    const std::size_t want = n_threads == 0 ? default_threads() : n_threads;
+    if (global().concurrency() != want) {
       throw std::logic_error("ThreadPool::set_global_threads: global pool already created");
     }
     return;

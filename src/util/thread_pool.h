@@ -1,19 +1,30 @@
-// Minimal work-stealing-free thread pool with a parallel_for helper, used
-// by the GEMM, conv and quantizer kernels and by a batched runner forward
-// (quant/export.h), which splits its samples across the pool once.
+// Thread pool with a fork/join parallel_for helper, used by the GEMM, conv
+// and quantizer kernels and by a batched runner forward (quant/export.h),
+// which splits its samples across the pool once.
+//
+// Claim rule: each parallel_for that splits is one shared job, its range
+// cut into chunks behind a cursor that the job's own mutex guards. The
+// caller queues one wake-up per chunk beyond its first, then claims chunks
+// from the cursor and runs them itself until none is left, and withdraws
+// the wake-ups no worker has taken. A woken worker claims from the same
+// cursor, and returns at once if every chunk has already been claimed.
+// The caller then waits only for chunks a worker has already started, so
+// a fork never costs much more than running its chunks serially, however
+// late the workers wake.
 //
 // Nesting rule: a parallel_for issued from inside a chunk of another one
-// that split across threads, on a pool worker or on the caller running its
-// own chunk, runs inline on that thread. Parallelism comes from the
-// outermost split only, so a kernel called under a runner's sample split
-// never forks again.
+// that split across threads, on a pool worker or on the caller running
+// one of its claimed chunks, runs inline on that thread. Parallelism comes
+// from the outermost split only, so a kernel called under a runner's
+// sample split never forks again.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
+#include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -21,7 +32,13 @@ namespace vsq {
 
 class ThreadPool {
  public:
-  // n_threads == 0 -> hardware_concurrency().
+  // Largest thread count accepted from outside the program: the --threads
+  // flag (apply_threads_flag) and the VSQ_THREADS environment variable.
+  static constexpr std::size_t kMaxThreads = 1024;
+
+  // n_threads == 0 -> hardware_concurrency(), or 2 when that is unknown.
+  // If starting a thread fails, the threads already started are joined
+  // and the exception propagates.
   explicit ThreadPool(std::size_t n_threads = 0);
   ~ThreadPool();
 
@@ -32,11 +49,14 @@ class ThreadPool {
   // Threads participating in parallel_for (workers + the calling thread).
   std::size_t concurrency() const { return workers_.size() + 1; }
 
-  // Runs fn(begin..end) split into roughly equal contiguous chunks across
-  // the pool plus the calling thread; blocks until all chunks finish.
-  // fn receives (chunk_begin, chunk_end). A call from inside a chunk of
-  // another split parallel_for runs fn(begin, end) inline (the nesting
-  // rule above).
+  // Runs fn(chunk_begin, chunk_end) over begin..end split into at most
+  // concurrency() roughly equal contiguous chunks, and blocks until all of
+  // them finish. Chunks are claimed by the claim rule above: the caller
+  // runs every chunk that no worker claims before it does, then waits for
+  // the ones workers started. If chunks throw, the first exception
+  // recorded is rethrown on the caller after every chunk has finished. A
+  // call from inside a chunk of another split parallel_for runs
+  // fn(begin, end) inline (the nesting rule above).
   //
   // `grain` is a cost hint: the minimum number of indices per chunk. Loops
   // whose total size is <= grain run inline on the calling thread with no
@@ -48,20 +68,24 @@ class ThreadPool {
                     std::size_t grain = 1);
 
   // Process-wide pool (lazily constructed). Size precedence: the value set
-  // via set_global_threads(), else the VSQ_THREADS environment variable,
-  // else hardware_concurrency().
+  // via set_global_threads(), else the VSQ_THREADS environment variable
+  // (ignored unless an integer in [0, kMaxThreads]), else
+  // hardware_concurrency().
   static ThreadPool& global();
 
-  // Fix the global pool's thread count (0 = hardware_concurrency). Must be
-  // called before the first use of global(); throws std::logic_error once
-  // the pool exists with a different size.
+  // Fix the global pool's thread count (0 = the constructor's default).
+  // Must be called before the first use of global(); throws
+  // std::logic_error once the pool exists with a different size.
   static void set_global_threads(std::size_t n_threads);
 
  private:
-  void submit(std::function<void()> task);
+  struct Job;
+
+  void work();
+  void join_workers();
 
   std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> tasks_;
+  std::deque<std::shared_ptr<Job>> wakeups_;  // one entry per worker invited
   std::mutex mu_;
   std::condition_variable cv_;
   bool stop_ = false;

@@ -1,12 +1,14 @@
 // Concurrency stress: the global ThreadPool hammered with parallel_for
 // from many client threads at once, per-thread ScratchArena mark/rewind
 // discipline under that load, ThreadPoolScope routing, the pool's nesting
-// rule, and a full InferenceSession under concurrent clients. Runs under
-// the ASan/UBSan CI job (labeled "slow" — the sanitizer workflow invokes
-// the label explicitly; plain ctest runs it too).
+// and claim rules, and a full InferenceSession under concurrent clients.
+// Runs under the ASan/UBSan CI job (labeled "slow" — the sanitizer
+// workflow invokes the label explicitly; plain ctest runs it too).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <mutex>
 #include <numeric>
@@ -183,6 +185,63 @@ TEST(ThreadPool, NestedParallelForRunsOnTheIssuingThread) {
   std::size_t off_thread = 0;
   for (const auto& [issuer, ran_on] : nested) off_thread += issuer != ran_on;
   EXPECT_EQ(off_thread, 0u) << "of " << nested.size() << " nested chunks";
+}
+
+TEST(ThreadPool, CallerRunsChunksNoWorkerHasClaimed) {
+  // A helper thread's 3-chunk split parks every chunk on `release`: one on
+  // the helper and one on each of the pool's two workers. A second split
+  // issued meanwhile must not wait behind them: its caller claims and runs
+  // every chunk itself and returns while the blockers are still parked. A
+  // watchdog releases them after 2 s, so a pool whose caller does wait
+  // fails the assertions below instead of hanging.
+  ThreadPool pool(3);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  int parked = 0;
+  std::thread blocker([&] {
+    pool.parallel_for(
+        0, 3,
+        [&](std::size_t, std::size_t) {
+          std::unique_lock lock(mu);
+          ++parked;
+          cv.notify_all();
+          cv.wait(lock, [&] { return release; });
+        },
+        /*grain=*/1);
+  });
+  std::thread watchdog([&] {
+    std::unique_lock lock(mu);
+    cv.wait_for(lock, std::chrono::seconds(2), [&] { return release; });
+    release = true;
+    cv.notify_all();
+  });
+  {
+    std::unique_lock lock(mu);
+    cv.wait(lock, [&] { return parked == 3 || release; });
+  }
+
+  std::vector<std::thread::id> ran_on(3);
+  pool.parallel_for(
+      0, 3,
+      [&](std::size_t b, std::size_t e) {
+        for (std::size_t i = b; i < e; ++i) ran_on[i] = std::this_thread::get_id();
+      },
+      /*grain=*/1);
+  bool released_before_return = false;
+  {
+    std::lock_guard lock(mu);
+    released_before_return = release;
+    release = true;
+  }
+  cv.notify_all();
+  blocker.join();
+  watchdog.join();
+
+  EXPECT_FALSE(released_before_return) << "the caller waited for the parked workers";
+  for (std::size_t i = 0; i < ran_on.size(); ++i) {
+    EXPECT_EQ(ran_on[i], std::this_thread::get_id()) << "chunk " << i;
+  }
 }
 
 TEST(ServeConcurrencyStress, ManyClientsManyRequests) {

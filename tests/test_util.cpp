@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/failpoint.h"
@@ -302,6 +304,14 @@ TEST(ThreadPool, ExceptionsPropagateToCaller) {
                std::runtime_error);
 }
 
+TEST(ThreadPool, FailedSpawnJoinsTheWorkersAlreadyStarted) {
+  // The armed point throws right after the first worker starts. The
+  // constructor must join that worker before rethrowing: a joinable
+  // std::thread destroyed with the pool's vector would terminate the test.
+  vsq::fault::ScopedFailpoint fp("thread_pool.spawn", "1*error(no more threads)");
+  EXPECT_THROW(ThreadPool(4), vsq::fault::FailpointError);
+}
+
 // ---- Args (flag parser used by tools/ and examples) ----
 
 std::vector<char*> argv_of(std::vector<std::string>& strings) {
@@ -351,6 +361,21 @@ TEST(Args, ValueWithEqualsSign) {
   auto argv = argv_of(raw);
   const Args args(static_cast<int>(argv.size()), argv.data());
   EXPECT_EQ(args.get_str("path", ""), "a=b");
+}
+
+TEST(Args, ThreadsFlagRejectsCountsAboveTheCap) {
+  // Create the global pool first: set_global_threads can then only compare
+  // against its size, so no value passed below can start a thread.
+  const std::size_t have = ThreadPool::global().concurrency();
+  const auto apply = [](std::string flag) {
+    std::vector<std::string> raw{"prog", std::move(flag)};
+    auto argv = argv_of(raw);
+    return apply_threads_flag(Args(static_cast<int>(argv.size()), argv.data()));
+  };
+  EXPECT_FALSE(apply("--threads=1000000"));
+  EXPECT_FALSE(apply("--threads=1025"));  // one above ThreadPool::kMaxThreads
+  EXPECT_FALSE(apply("--threads=-1"));
+  EXPECT_TRUE(apply("--threads=" + std::to_string(have)));
 }
 
 }  // namespace
