@@ -120,6 +120,11 @@ void NetServer::stop() {
   reap(/*all=*/true);
 }
 
+std::uint64_t NetServer::frames_rejected() const {
+  return frames_by_status(Status::kUnknownModel) + frames_by_status(Status::kBadRequest) +
+         frames_by_status(Status::kError) + frames_by_status(Status::kUnavailable);
+}
+
 std::size_t NetServer::active_connections() const {
   std::lock_guard lock(conns_mu_);
   std::size_t n = 0;
@@ -182,7 +187,6 @@ void NetServer::accept_loop() {
       std::lock_guard lock(conns_mu_);
       if (cfg_.max_connections > 0 &&
           conns_.size() >= static_cast<std::size_t>(cfg_.max_connections)) {
-        busy_rejects_.fetch_add(1);
         frames_by_status_[static_cast<std::size_t>(Status::kBusy)].fetch_add(1);
         ResponseFrame busy;
         busy.status = Status::kBusy;
@@ -270,7 +274,6 @@ void NetServer::serve_conn_loop(const int fd) {
     std::uint32_t body_len = 0;
     if (!parse_header(header, &body_len)) {
       protocol_errors_.fetch_add(1);
-      frames_rejected_.fetch_add(1);
       frames_by_status_[static_cast<std::size_t>(Status::kBadRequest)].fetch_add(1);
       ResponseFrame bad;
       bad.status = Status::kBadRequest;
@@ -281,7 +284,6 @@ void NetServer::serve_conn_loop(const int fd) {
     }
     if (body_len > cfg_.max_body_bytes) {
       protocol_errors_.fetch_add(1);
-      frames_rejected_.fetch_add(1);
       frames_by_status_[static_cast<std::size_t>(Status::kBadRequest)].fetch_add(1);
       ResponseFrame bad;
       bad.status = Status::kBadRequest;
@@ -302,11 +304,6 @@ void NetServer::serve_conn_loop(const int fd) {
     }
 
     ResponseFrame resp = handle_request(body);
-    switch (resp.status) {
-      case Status::kOk: frames_ok_.fetch_add(1); break;
-      case Status::kShed: frames_shed_.fetch_add(1); break;
-      default: frames_rejected_.fetch_add(1); break;
-    }
     frames_by_status_[static_cast<std::size_t>(resp.status)].fetch_add(1);
     const auto frame = encode_response(resp);
     // Injected torn write: send only half the frame, then drop the

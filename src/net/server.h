@@ -66,11 +66,13 @@ class NetServer {
 
   // Lifetime counters (monotonic since construction).
   std::uint64_t connections_accepted() const { return accepted_.load(); }
-  std::uint64_t busy_rejects() const { return busy_rejects_.load(); }
-  std::uint64_t frames_ok() const { return frames_ok_.load(); }
-  std::uint64_t frames_shed() const { return frames_shed_.load(); }
-  // Non-ok, non-shed responses (unknown model, bad request, error, ...).
-  std::uint64_t frames_rejected() const { return frames_rejected_.load(); }
+  // Read off the per-status ledger (frames_by_status below).
+  std::uint64_t busy_rejects() const { return frames_by_status(Status::kBusy); }
+  std::uint64_t frames_ok() const { return frames_by_status(Status::kOk); }
+  std::uint64_t frames_shed() const { return frames_by_status(Status::kShed); }
+  // Non-ok, non-shed responses to request frames: unknown model, bad
+  // request, error, unavailable (connection-cap kBusy frames excluded).
+  std::uint64_t frames_rejected() const;
   // Connections dropped for wire-level violations: bad magic, oversized
   // body, undecodable or half-delivered frames, stalled peers.
   std::uint64_t protocol_errors() const { return protocol_errors_.load(); }
@@ -116,10 +118,6 @@ class NetServer {
   std::list<Conn> conns_;  // list: Conn addresses stay stable for the threads
 
   std::atomic<std::uint64_t> accepted_{0};
-  std::atomic<std::uint64_t> busy_rejects_{0};
-  std::atomic<std::uint64_t> frames_ok_{0};
-  std::atomic<std::uint64_t> frames_shed_{0};
-  std::atomic<std::uint64_t> frames_rejected_{0};
   std::atomic<std::uint64_t> protocol_errors_{0};
   std::atomic<std::uint64_t> http_requests_{0};
   // Index = wire Status value (kOk=0 .. kBusy=6).

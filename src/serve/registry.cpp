@@ -10,72 +10,6 @@
 #include "util/table.h"
 
 namespace vsq {
-namespace {
-
-// Merge two serving windows of the same model (before/after a hot reload).
-// Counts, histograms and wall time are additive; latency percentiles are
-// NOT recoverable from two summaries, so the quantile fields are taken
-// from the largest SINGLE window seen so far — tracked explicitly in
-// percentile_window, since after the first merge `requests` becomes a
-// multi-window total and comparing against it would prefer stale small
-// windows (max_us and a request-weighted mean are exact).
-ServeStatsSnapshot merge_snapshots(ServeStatsSnapshot a, const ServeStatsSnapshot& b) {
-  if (b.percentile_window > a.percentile_window) {
-    a.p50_us = b.p50_us;
-    a.p95_us = b.p95_us;
-    a.p99_us = b.p99_us;
-    a.percentile_window = b.percentile_window;
-  }
-  const auto total = a.requests + b.requests;
-  if (total > 0) {
-    a.mean_us = (a.mean_us * static_cast<double>(a.requests) +
-                 b.mean_us * static_cast<double>(b.requests)) /
-                static_cast<double>(total);
-  }
-  a.max_us = std::max(a.max_us, b.max_us);
-  a.requests = total;
-  a.batches += b.batches;
-  a.cache_hits += b.cache_hits;
-  a.errors += b.errors;
-  a.shed += b.shed;
-  a.deadline_expired += b.deadline_expired;
-  a.worker_restarts += b.worker_restarts;
-  // Queue depth is a point-in-time gauge; retired/drained windows carry 0,
-  // so summing reports exactly the live backlog.
-  a.queue_depth += b.queue_depth;
-  // The merged wall clock is the SPAN from the earliest window start to
-  // the latest window end. That is the same semantic a single window
-  // already uses (first submit -> last completion, idle gaps included),
-  // it is exact under any overlap pattern — summing walls would double-
-  // count windows that run concurrently (an unloaded session draining
-  // while its hot-reload replacement serves), and summing-minus-pairwise-
-  // overlap miscounts a window landing in a gap of the merged union.
-  if (b.window_end_s > 0.0) {
-    if (a.window_end_s > 0.0) {
-      a.window_start_s = std::min(a.window_start_s, b.window_start_s);
-      a.window_end_s = std::max(a.window_end_s, b.window_end_s);
-    } else {
-      a.window_start_s = b.window_start_s;
-      a.window_end_s = b.window_end_s;
-    }
-    a.wall_seconds = a.window_end_s - a.window_start_s;
-  }
-  a.throughput_rps =
-      a.wall_seconds > 0.0 ? static_cast<double>(a.requests) / a.wall_seconds : 0.0;
-  if (a.batch_hist.size() < b.batch_hist.size()) a.batch_hist.resize(b.batch_hist.size(), 0);
-  for (std::size_t i = 0; i < b.batch_hist.size(); ++i) a.batch_hist[i] += b.batch_hist[i];
-  a.mean_batch = mean_batch_from_hist(a.batch_hist, a.batches);
-  a.mixed_bucket_batches += b.mixed_bucket_batches;
-  // Resident packed-panel bytes describe the loaded model, not traffic:
-  // two windows of the same name serve the same (or a reloaded) model, so
-  // take the max rather than summing footprints that never coexisted as
-  // one serving instance.
-  a.packed_weight_bytes = std::max(a.packed_weight_bytes, b.packed_weight_bytes);
-  return a;
-}
-
-}  // namespace
-
 ModelRegistry::ModelRegistry(ServeConfig default_cfg) : default_cfg_(default_cfg) {}
 
 ModelRegistry::~ModelRegistry() {
@@ -154,21 +88,17 @@ void ModelRegistry::drain_and_retire(const std::string& name,
   victim->shutdown();
   // Retire the final snapshot so stats stay cumulative across hot reloads
   // of the same name. The session is drained and frozen after shutdown(),
-  // so the snapshot (which copies and sorts the full latency history) is
-  // taken BEFORE the lock — only the draining_ -> retired_ publication
-  // needs it, and that move is atomic from a reader's point of view.
+  // so the snapshot (a copy of its counters and latency histogram, with
+  // the quantiles computed from it) is taken BEFORE the lock — only the
+  // draining_ -> retired_ publication needs it, and that move is atomic
+  // from a reader's point of view.
   const ServeStatsSnapshot last = victim->stats();
   {
     std::unique_lock lock(mu_);
     auto& parked = draining_[name];
     parked.erase(std::remove(parked.begin(), parked.end(), victim), parked.end());
     if (parked.empty()) draining_.erase(name);
-    const auto it = retired_.find(name);
-    if (it == retired_.end()) {
-      retired_.emplace(name, last);
-    } else {
-      it->second = merge_snapshots(it->second, last);
-    }
+    retired_[name].merge(last);
   }
 }
 
@@ -272,70 +202,46 @@ ServeStatsSnapshot ModelRegistry::stats(const std::string& name) const {
   // session's own stats() carries that whole window.
   std::shared_ptr<InferenceSession> s;
   std::vector<std::shared_ptr<InferenceSession>> draining;
-  std::optional<ServeStatsSnapshot> merged;
+  std::optional<ServeStatsSnapshot> retired;
   {
     std::shared_lock lock(mu_);
     if (const auto it = sessions_.find(name); it != sessions_.end()) s = it->second;
     if (const auto it = draining_.find(name); it != draining_.end()) draining = it->second;
-    if (const auto it = retired_.find(name); it != retired_.end()) merged = it->second;
+    if (const auto it = retired_.find(name); it != retired_.end()) retired = it->second;
   }
-  if (!s && !merged && draining.empty()) {
+  if (!s && !retired && draining.empty()) {
     throw std::out_of_range("ModelRegistry: model never served: " + name);
   }
-  for (const auto& d : draining) {
-    const ServeStatsSnapshot snap = d->stats();
-    merged = merged ? merge_snapshots(*merged, snap) : snap;
-  }
-  if (s) {
-    const ServeStatsSnapshot live = s->stats();
-    merged = merged ? merge_snapshots(*merged, live) : live;
-  }
-  return *merged;
+  ServeStatsSnapshot merged = retired.value_or(ServeStatsSnapshot{});
+  for (const auto& d : draining) merged.merge(d->stats());
+  if (s) merged.merge(s->stats());
+  return merged;
 }
 
 std::vector<RegistryModelStats> ModelRegistry::stats_all() const {
-  // Snapshot the session sets + retired map under the lock, read live
-  // stats outside it (each session's snapshot takes its own stats mutex).
-  std::vector<std::pair<std::string, std::shared_ptr<InferenceSession>>> pinned;
+  // Copy the session sets + retired map under the lock, read live stats
+  // outside it (each session's snapshot takes its own stats mutex).
+  std::map<std::string, std::shared_ptr<InferenceSession>> live;
   std::map<std::string, std::vector<std::shared_ptr<InferenceSession>>> draining;
   std::map<std::string, ServeStatsSnapshot> acc;
   {
     std::shared_lock lock(mu_);
-    pinned.reserve(sessions_.size());
-    for (const auto& [name, s] : sessions_) pinned.emplace_back(name, s);
+    live = sessions_;
     draining = draining_;
     acc = retired_;
   }
-  // Fold mid-drain windows in first, then the live ones on top.
   for (const auto& [name, parked] : draining) {
-    for (const auto& d : parked) {
-      const ServeStatsSnapshot snap = d->stats();
-      const auto it = acc.find(name);
-      if (it == acc.end()) {
-        acc.emplace(name, snap);
-      } else {
-        it->second = merge_snapshots(it->second, snap);
-      }
-    }
+    for (const auto& d : parked) acc[name].merge(d->stats());
   }
-  std::vector<RegistryModelStats> out;
-  out.reserve(pinned.size() + acc.size());
-  for (const auto& [name, s] : pinned) {
-    ServeStatsSnapshot snap = s->stats();
-    if (const auto it = acc.find(name); it != acc.end()) {
-      snap = merge_snapshots(it->second, snap);
-      acc.erase(it);
-    }
-    out.push_back(RegistryModelStats{name, std::move(snap), s->datapath_stats()});
-  }
+  for (const auto& [name, s] : live) acc[name].merge(s->stats());
   // Names that served earlier but are currently unloaded still report.
-  for (const auto& [name, snap] : acc) {
-    out.push_back(RegistryModelStats{name, snap, IntGemmStats{}});
+  std::vector<RegistryModelStats> out;
+  out.reserve(acc.size());
+  for (auto& [name, snap] : acc) {
+    const auto it = live.find(name);
+    out.push_back(RegistryModelStats{
+        name, std::move(snap), it != live.end() ? it->second->datapath_stats() : IntGemmStats{}});
   }
-  std::sort(out.begin(), out.end(),
-            [](const RegistryModelStats& x, const RegistryModelStats& y) {
-              return x.name < y.name;
-            });
   return out;
 }
 

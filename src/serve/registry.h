@@ -96,17 +96,17 @@ class ModelRegistry {
 
   // Per-model stats, name-sorted, cumulative across hot reloads: when a
   // model is unloaded its final (post-drain) snapshot is retired and
-  // merged into any later serving of the same name — counts, histograms
-  // and wall time sum; latency percentiles cannot be merged from
-  // snapshots, so they reflect the largest single serving window.
-  // stats(name) throws std::out_of_range when the name never served.
+  // merged into any later serving of the same name
+  // (ServeStatsSnapshot::merge), so its latency quantiles cover every
+  // request the name served. stats(name) throws std::out_of_range when
+  // the name never served.
   ServeStatsSnapshot stats(const std::string& name) const;
   std::vector<RegistryModelStats> stats_all() const;
 
   // Aligned table: one row per model plus a TOTAL row (request/batch/hit
-  // counts summed, throughput summed; latency percentiles are per-model
-  // quantities and cannot be merged from snapshots, so the TOTAL row
-  // leaves them blank).
+  // counts summed, throughput summed). The TOTAL row leaves the latency
+  // quantiles blank: a quantile across models would mix the latencies of
+  // different models, which describes none of them.
   void print_stats(std::ostream& os) const;
 
  private:

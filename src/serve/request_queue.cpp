@@ -16,17 +16,6 @@ bool RequestQueue::has_space(std::size_t limit) const {
   return limit == 0 || q_.size() < limit;
 }
 
-bool RequestQueue::push(Request r) {
-  {
-    std::unique_lock lock(mu_);
-    cv_push_.wait(lock, [&] { return closed_ || has_space(max_depth_); });
-    if (closed_) return false;
-    q_.push_back(std::move(r));
-  }
-  cv_pop_.notify_one();
-  return true;
-}
-
 PushStatus RequestQueue::try_push(Request& r, std::size_t depth_limit) {
   {
     std::unique_lock lock(mu_);

@@ -4,14 +4,11 @@
 // open up to `max_wait` for more requests to arrive (or until `max_batch`
 // accumulate), trading a bounded latency hit for batched GEMM efficiency.
 //
-// Admission: push() is the legacy blocking producer (waits for space on a
-// bounded queue — under sustained overload that is a head-of-line stall,
-// not backpressure). try_push()/try_push_until() are the admission-control
-// primitives: they fail fast (or by a deadline) with kFull so the caller
-// can shed load explicitly, and they take an optional per-call depth limit
-// so priority lanes can reserve headroom — a low-priority producer capped
-// at half the queue starts shedding while high-priority traffic still
-// admits.
+// Admission: try_push()/try_push_until() fail fast (or by a deadline) with
+// kFull so the caller can shed load explicitly, and they take an optional
+// per-call depth limit so priority lanes can reserve headroom — a
+// low-priority producer capped at half the queue starts shedding while
+// high-priority traffic still admits.
 #pragma once
 
 #include <chrono>
@@ -75,14 +72,8 @@ class UnavailableError : public std::runtime_error {
 
 class RequestQueue {
  public:
-  // max_depth bounds outstanding requests (blocking push waits when full,
-  // try_push sheds); 0 = unbounded.
+  // max_depth bounds outstanding requests; 0 = unbounded.
   explicit RequestQueue(std::size_t max_depth = 0);
-
-  // Blocking push: waits for space on a bounded queue. False when the
-  // queue is closed (the request is returned unfulfilled in that case —
-  // the caller owns the promise again).
-  bool push(Request r);
 
   // Non-blocking push. `depth_limit` optionally tightens the bound for
   // this call (0 = the queue's own max_depth): the effective limit is the
@@ -102,7 +93,7 @@ class RequestQueue {
   std::vector<Request> pop_batch(std::size_t max_batch, std::chrono::microseconds max_wait);
 
   // Close: pushes fail from now on (blocked pushers wake and return
-  // false/kClosed promptly); pop_batch drains what remains.
+  // kClosed promptly); pop_batch drains what remains.
   void close();
   bool closed() const;
   std::size_t depth() const;

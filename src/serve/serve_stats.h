@@ -1,17 +1,17 @@
-// Serving metrics: per-request latency percentiles, batch-size histogram
-// and throughput. Recording is thread-safe (client threads record cache
-// hits and sheds, the batcher worker records batches and errors);
-// snapshot() takes a coherent copy for reporting.
+// Serving metrics: request, batch, error and shed counters, the batch-size
+// histogram, throughput and a latency histogram. Recording is thread-safe
+// (client threads record cache hits and sheds, the batcher worker records
+// batches and errors); snapshot() takes a coherent copy for reporting.
 //
-// Latency samples live in a bounded sliding window (the last
-// `latency_window` completions), so a session's memory footprint is flat
-// no matter how long it serves — the original unbounded history grew 8
-// bytes per request for the life of the session, a linear leak under
-// soak traffic. Percentiles therefore describe recent traffic (window
-// size reported in percentile_window); request counts, the latency mean
-// and max are tracked as exact running aggregates over ALL requests.
+// Latencies are counted in a fixed-bucket log-linear histogram, so a
+// session holds the same 22 KiB whether it served ten requests or ten
+// billion, its quantiles cover every request it completed, and two
+// snapshots merge exactly by adding counts. ModelRegistry's quantiles
+// across hot reloads are therefore those of all the traffic the name
+// served, within the histogram's 1/64 bucket width.
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <iosfwd>
@@ -20,6 +20,45 @@
 #include <vector>
 
 namespace vsq {
+
+// Latency histogram in nanoseconds, in the HdrHistogram layout: one bucket
+// per value below 256 ns, then 64 equal sub-buckets per power of two up
+// to 2^47 ns (39 h; longer latencies count in the last bucket). A bucket
+// is at most 1/64 of its lower bound wide. The count, sum, min and max are
+// exact.
+class LatencyHistogram {
+  static constexpr int kLinear = 256;
+  static constexpr int kSub = 64;
+  static constexpr int kMaxMsb = 47;
+
+ public:
+  static constexpr int kBuckets = kLinear + (kMaxMsb - 7) * kSub;
+
+  void record(std::uint64_t ns);
+  // Adds other's samples: the result is the histogram of both sample sets.
+  void merge(const LatencyHistogram& other);
+
+  std::uint64_t count() const { return count_; }
+  std::uint64_t sum_ns() const { return sum_ns_; }
+  std::uint64_t min_ns() const { return min_ns_; }  // 0 when empty
+  std::uint64_t max_ns() const { return max_ns_; }
+  const std::array<std::uint64_t, kBuckets>& counts() const { return counts_; }
+
+  // Value at fraction q in [0, 1] (clamped) of the samples: the bucket
+  // holding rank q*(count-1), interpolated by rank inside that bucket and
+  // clamped to [min, max]. So it is within one bucket width (1/64) of the
+  // order statistic at floor(q*(count-1)), and monotone in q. 0 when
+  // empty; a single sample answers every q with itself.
+  double quantile_ns(double q) const;
+
+ private:
+  static int bucket_of(std::uint64_t ns);
+  // Lower bound and width (ns) of bucket `idx`.
+  static void bucket_bounds(int idx, double* lo, double* width);
+
+  std::array<std::uint64_t, kBuckets> counts_{};
+  std::uint64_t count_ = 0, sum_ns_ = 0, min_ns_ = 0, max_ns_ = 0;
+};
 
 struct ServeStatsSnapshot {
   std::uint64_t requests = 0;    // completed requests (cache hits included)
@@ -43,56 +82,53 @@ struct ServeStatsSnapshot {
   std::uint64_t worker_restarts = 0;
   // Queue depth gauge sampled at snapshot time (requests admitted but not
   // yet popped by the batcher). A point-in-time reading, not a counter;
-  // cross-reload merges sum it (drained windows contribute 0).
+  // merge() sums it (drained sessions contribute 0).
   std::uint64_t queue_depth = 0;
   double wall_seconds = 0.0;     // first submit -> last completion
   double throughput_rps = 0.0;   // requests / wall_seconds
+  // Derived from `latency`: quantiles within its bucket width, mean and
+  // max exact.
   double p50_us = 0.0, p95_us = 0.0, p99_us = 0.0;
   double mean_us = 0.0, max_us = 0.0;
   double mean_batch = 0.0;                // requests per executed batch
   std::vector<std::uint64_t> batch_hist;  // index = batch size (0 unused)
   // Executed sequence batches whose rows have at least two distinct true
   // lengths (a short and a long request riding one forward pass). 0 for
-  // non-sequence sessions; cross-reload merges sum it. The name is kept
-  // from the retired pad-bucket batcher because perfbench reads this
-  // field and its JSON key.
+  // non-sequence sessions; merge() sums it. The name is kept from the
+  // retired pad-bucket batcher because perfbench reads this field and its
+  // JSON key.
   std::uint64_t mixed_bucket_batches = 0;
-  // Latency samples the percentiles were computed over: the sliding
-  // window's occupancy, i.e. min(requests, window capacity) for a plain
-  // snapshot. When ModelRegistry merges windows across hot reloads it
-  // keeps the percentiles of the largest single window and records that
-  // window's size here (quantiles cannot be merged from summaries).
-  std::uint64_t percentile_window = 0;
-  // Window bounds in steady-clock seconds (process-relative; 0/0 when no
-  // request was ever recorded). ModelRegistry's cross-reload merge sets
-  // the merged wall clock to the span over all windows (earliest start to
-  // latest end — the same first-submit-to-last-completion semantic a
-  // single window uses), so throughput_rps never divides by
-  // double-counted time when windows overlap (an old session draining
-  // while its replacement serves).
+  // Bounds of the serving window in steady-clock seconds (process-
+  // relative; 0/0 when no request was ever recorded): first submit and
+  // last completion. merge() spans all windows (earliest start to latest
+  // end), so throughput_rps never divides by double-counted time when
+  // windows overlap (an old session draining while its replacement
+  // serves).
   double window_start_s = 0.0, window_end_s = 0.0;
   // Resident bytes of the session's pre-packed weight panels (sub-byte
   // packed layouts shrink this below the int16-panel footprint). A
-  // property of the loaded model, not a counter: ModelRegistry's
-  // cross-reload merge takes the max, never the sum.
+  // property of the loaded model, not a counter: merge() takes the max,
+  // never the sum.
   std::uint64_t packed_weight_bytes = 0;
+  // Every completed request's latency (cache hits included).
+  LatencyHistogram latency;
+
+  // Folds in another serving window of the same model (before/after a
+  // hot reload): counts and histograms add, the window spans both, and
+  // every derived field (quantiles, mean, throughput, mean batch) is
+  // recomputed from the merged counts.
+  void merge(const ServeStatsSnapshot& other);
 
   // Two-row aligned table (util/Table) for terminal output.
   void print_table(std::ostream& os) const;
   // Single-line JSON object, machine-readable (vsq_serve --json-out, the
-  // net server's /stats endpoint). Carries every snapshot field.
+  // net server's /stats endpoint). Carries every scalar snapshot field;
+  // the latency histogram is summarised by its quantiles, mean and max.
   std::string json() const;
 };
 
 class ServeStats {
  public:
-  // Latency samples retained for percentile estimation. 8192 doubles =
-  // 64 KiB per session, enough that p99 is a real tail statistic while a
-  // week-long soak holds exactly as much memory as a minute-long one.
-  static constexpr std::size_t kDefaultLatencyWindow = 8192;
-
-  explicit ServeStats(std::size_t latency_window = kDefaultLatencyWindow);
-
   // Start of the measurement window; called on every submit, only the
   // first call sets the clock.
   void mark_start();
@@ -113,38 +149,11 @@ class ServeStats {
 
   ServeStatsSnapshot snapshot() const;
 
-  std::size_t latency_window_capacity() const { return window_cap_; }
-
  private:
   mutable std::mutex mu_;
-  const std::size_t window_cap_;
-  std::vector<double> window_;    // ring buffer, size() <= window_cap_
-  std::size_t window_next_ = 0;   // overwrite cursor once the ring is full
-  std::uint64_t requests_ = 0;
-  double latency_sum_us_ = 0.0;   // exact running aggregates over ALL
-  double latency_max_us_ = 0.0;   // requests, window-independent
-  std::vector<std::uint64_t> batch_hist_;
-  std::uint64_t batches_ = 0, cache_hits_ = 0, errors_ = 0, shed_ = 0;
-  std::uint64_t deadline_expired_ = 0, worker_restarts_ = 0;
-  std::uint64_t mixed_bucket_batches_ = 0;
+  ServeStatsSnapshot recorded_;  // counters and histograms; derived fields unset
   bool started_ = false;
   std::chrono::steady_clock::time_point first_, last_;
 };
-
-// Percentile of an unsorted sample, p in [0, 100] (clamped). Linear
-// interpolation between closest order statistics (the numpy/Excel
-// "linear" definition), so low-count samples degrade gracefully: the old
-// nearest-rank rule snapped every p above 100*(n-1)/n straight to the
-// maximum, which made the reported p99 just "max" (and p50 of two samples
-// the larger one) until ~100 requests had completed. Now p50 of {a, b} is
-// their midpoint, a single sample answers every p with itself, and an
-// empty sample returns 0. p99 still converges to the tail as n grows —
-// just without pretending an n-sample run resolved a quantile it cannot.
-double percentile_us(std::vector<double> sample, double p);
-
-// Mean requests per executed batch, derived from the batch-size histogram
-// (index = batch size). Shared by ServeStats::snapshot and the registry's
-// cross-reload snapshot merge so the definition cannot drift.
-double mean_batch_from_hist(const std::vector<std::uint64_t>& hist, std::uint64_t batches);
 
 }  // namespace vsq

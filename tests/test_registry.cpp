@@ -185,23 +185,23 @@ TEST(ModelRegistry, StatsStayVisibleWhileDraining) {
   EXPECT_EQ(reg.stats("m").requests, 48u);
 }
 
-TEST(ModelRegistry, MergedPercentilesComeFromLargestSingleWindow) {
+TEST(ModelRegistry, MergedQuantilesCoverEveryServingWindow) {
+  // 200 fast requests, a hot reload, then 20 requests each stalled 20 ms
+  // in the batcher: 9% of all requests took over 20 ms, so the p99 across
+  // the reload must be one of them, while the p50 stays fast.
   ModelRegistry reg;
   const Tensor input = random_row(TinyMlp::kIn, 15);
-  const auto serve_window = [&](int n) {
-    reg.load("m", tiny_package());
-    for (int i = 0; i < n; ++i) (void)reg.infer("m", input);
-    ASSERT_TRUE(reg.unload("m"));
-  };
-  // Three windows across two hot reloads: 10, 10, then 15 requests. The
-  // accumulated total after two windows (20) must not outvote the larger
-  // third window when picking which percentiles to report.
-  serve_window(10);
-  serve_window(10);
-  serve_window(15);
+  reg.load("m", tiny_package());
+  for (int i = 0; i < 200; ++i) (void)reg.infer("m", input);
+  reg.reload("m", tiny_package());
+  {
+    fault::ScopedFailpoint stall("serve.batcher.worker_stall", "delay(20000)");
+    for (int i = 0; i < 20; ++i) (void)reg.infer("m", input);
+  }
   const ServeStatsSnapshot s = reg.stats("m");
-  EXPECT_EQ(s.requests, 35u);
-  EXPECT_EQ(s.percentile_window, 15u);
+  EXPECT_EQ(s.requests, 220u);
+  EXPECT_GE(s.p99_us, 20000.0);
+  EXPECT_LT(s.p50_us, 20000.0);
 }
 
 TEST(ModelRegistry, PinnedSessionSubmitThrowsAfterUnload) {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <future>
 #include <string>
 #include <thread>
@@ -48,7 +49,7 @@ TEST(RequestQueue, PopTakesWhatIsQueuedUpToMaxBatch) {
   for (int i = 0; i < 5; ++i) {
     Request r;
     r.id = static_cast<std::uint64_t>(i);
-    ASSERT_TRUE(q.push(std::move(r)));
+    ASSERT_EQ(q.try_push(r), PushStatus::kOk);
   }
   auto batch = q.pop_batch(3, std::chrono::microseconds(0));
   ASSERT_EQ(batch.size(), 3u);
@@ -62,9 +63,10 @@ TEST(RequestQueue, PopTakesWhatIsQueuedUpToMaxBatch) {
 TEST(RequestQueue, PopBatchDrainsThenReturnsEmptyWhenClosed) {
   RequestQueue q;
   Request r;
-  ASSERT_TRUE(q.push(std::move(r)));
+  ASSERT_EQ(q.try_push(r), PushStatus::kOk);
   q.close();
-  EXPECT_FALSE(q.push(Request{}));  // closed: rejected
+  Request late;
+  EXPECT_EQ(q.try_push(late), PushStatus::kClosed);  // closed: rejected
   EXPECT_EQ(q.pop_batch(4, std::chrono::microseconds(0)).size(), 1u);
   EXPECT_TRUE(q.pop_batch(4, std::chrono::microseconds(0)).empty());
 }
@@ -72,12 +74,12 @@ TEST(RequestQueue, PopBatchDrainsThenReturnsEmptyWhenClosed) {
 TEST(RequestQueue, LingerCollectsLateArrivals) {
   RequestQueue q;
   Request first;
-  ASSERT_TRUE(q.push(std::move(first)));
+  ASSERT_EQ(q.try_push(first), PushStatus::kOk);
   std::thread late([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     Request r;
     r.id = 1;
-    q.push(std::move(r));
+    EXPECT_EQ(q.try_push(r), PushStatus::kOk);
   });
   // Generous linger: the late request must ride the same batch.
   auto batch = q.pop_batch(2, std::chrono::microseconds(200000));
@@ -87,10 +89,13 @@ TEST(RequestQueue, LingerCollectsLateArrivals) {
 
 TEST(RequestQueue, BoundedDepthBlocksProducerUntilPop) {
   RequestQueue q(/*max_depth=*/1);
-  ASSERT_TRUE(q.push(Request{}));
+  Request first;
+  ASSERT_EQ(q.try_push(first), PushStatus::kOk);
   std::atomic<bool> second_pushed{false};
   std::thread producer([&] {
-    q.push(Request{});
+    Request second;
+    EXPECT_EQ(q.try_push_until(second, std::chrono::steady_clock::now() + std::chrono::minutes(1)),
+              PushStatus::kOk);
     second_pushed = true;
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -388,51 +393,103 @@ TEST(Determinism, RunnerBitIdenticalAcrossThreadCounts) {
 
 // ---- Stats math ----
 
-TEST(ServeStatsMath, InterpolatedPercentiles) {
-  std::vector<double> sample;
-  for (int i = 100; i >= 1; --i) sample.push_back(i);  // 1..100, reversed order
-  // Linear interpolation over the n-1 gaps (numpy's default): exact order
-  // statistics at the grid points, blends in between.
-  EXPECT_DOUBLE_EQ(percentile_us(sample, 50.0), 50.5);
-  EXPECT_NEAR(percentile_us(sample, 95.0), 95.05, 1e-9);
-  EXPECT_NEAR(percentile_us(sample, 99.0), 99.01, 1e-9);
-  EXPECT_DOUBLE_EQ(percentile_us(sample, 100.0), 100.0);
-  EXPECT_DOUBLE_EQ(percentile_us(sample, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile_us({}, 50.0), 0.0);
+TEST(ServeStatsMath, EmptyHistogramIsZeroAndOneSampleAnswersEveryQuantile) {
+  LatencyHistogram h;
+  for (const double q : {0.0, 0.5, 0.99, 1.0}) EXPECT_EQ(h.quantile_ns(q), 0.0) << "q=" << q;
+  h.record(123457);  // mid-bucket: the answer is the sample, not a bucket edge
+  for (const double q : {-1.0, 0.0, 0.5, 0.95, 0.99, 1.0, 2.0}) {
+    EXPECT_EQ(h.quantile_ns(q), 123457.0) << "q=" << q;
+  }
+  ServeStats stats;
+  EXPECT_EQ(stats.snapshot().p99_us, 0.0);
+  stats.record_request(7.0);
+  const ServeStatsSnapshot s = stats.snapshot();
+  EXPECT_EQ(s.p50_us, 7.0);
+  EXPECT_EQ(s.p95_us, 7.0);
+  EXPECT_EQ(s.p99_us, 7.0);
 }
 
-TEST(ServeStatsMath, LowCountPercentileEdgeCases) {
-  // The old nearest-rank rule snapped every p > 100*(n-1)/n to the max, so
-  // a 5-sample run reported p50 == median but p99 == max exactly — a
-  // number that looked like a resolved tail quantile and wasn't. The
-  // interpolated definition degrades gracefully instead.
-  // Empty: 0 for every p.
-  EXPECT_DOUBLE_EQ(percentile_us({}, 0.0), 0.0);
-  EXPECT_DOUBLE_EQ(percentile_us({}, 99.0), 0.0);
-  // One sample answers every p with itself.
-  EXPECT_DOUBLE_EQ(percentile_us({7.0}, 0.0), 7.0);
-  EXPECT_DOUBLE_EQ(percentile_us({7.0}, 50.0), 7.0);
-  EXPECT_DOUBLE_EQ(percentile_us({7.0}, 99.0), 7.0);
-  EXPECT_DOUBLE_EQ(percentile_us({7.0}, 100.0), 7.0);
-  // Two samples: p50 is the midpoint (was: the larger sample), p99 sits
-  // just below the max instead of on it.
-  EXPECT_DOUBLE_EQ(percentile_us({10.0, 20.0}, 50.0), 15.0);
-  EXPECT_NEAR(percentile_us({10.0, 20.0}, 99.0), 19.9, 1e-9);
-  EXPECT_DOUBLE_EQ(percentile_us({10.0, 20.0}, 100.0), 20.0);
-  // Out-of-range p clamps instead of indexing out of bounds.
-  EXPECT_DOUBLE_EQ(percentile_us({10.0, 20.0}, -5.0), 10.0);
-  EXPECT_DOUBLE_EQ(percentile_us({10.0, 20.0}, 250.0), 20.0);
-  // Monotonic in p on a small sample.
-  const std::vector<double> five{3.0, 1.0, 5.0, 2.0, 4.0};
-  double prev = 0.0;
-  for (const double p : {0.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0, 100.0}) {
-    const double q = percentile_us(five, p);
-    EXPECT_GE(q, prev) << "p=" << p;
-    EXPECT_LE(q, 5.0) << "p=" << p;
-    prev = q;
+TEST(ServeStatsMath, HistogramQuantilesAreMonotoneAndInsideMinMax) {
+  // A spread sample, and one whose samples share a few buckets (where the
+  // answer is interpolated inside a bucket).
+  Rng rng(21);
+  std::vector<std::vector<std::uint64_t>> samples(2);
+  for (int i = 0; i < 500; ++i) {
+    samples[0].push_back(static_cast<std::uint64_t>(std::exp(rng.uniform(std::log(50.0), 20.0))));
+    samples[1].push_back(1'000'000 + rng.uniform_u64(40'000));
   }
-  // p99 of 5 samples no longer equals the max.
-  EXPECT_LT(percentile_us(five, 99.0), 5.0);
+  samples.push_back({3000, 1000, 5000, 2000, 4000});
+  for (const auto& sample : samples) {
+    LatencyHistogram h;
+    for (const std::uint64_t v : sample) h.record(v);
+    const auto [lo, hi] = std::minmax_element(sample.begin(), sample.end());
+    double prev = 0.0;
+    for (int k = 0; k <= 1000; ++k) {
+      const double q = h.quantile_ns(k / 1000.0);
+      ASSERT_GE(q, prev) << "k=" << k;
+      ASSERT_GE(q, static_cast<double>(*lo)) << "k=" << k;
+      ASSERT_LE(q, static_cast<double>(*hi)) << "k=" << k;
+      prev = q;
+    }
+  }
+}
+
+TEST(ServeStatsMath, HistogramQuantilesWithinOneBucketOfTheOrderStatistic) {
+  // Log-uniform over 100 ns .. 10 s: every bucket scale the serving path
+  // sees, from a cache hit to an injected stall.
+  for (const std::size_t n : {std::size_t{5}, std::size_t{1000}, std::size_t{100000}}) {
+    Rng rng(500 + n);
+    std::vector<std::uint64_t> sample(n);
+    LatencyHistogram h;
+    for (std::uint64_t& v : sample) {
+      v = static_cast<std::uint64_t>(std::llround(100.0 * std::pow(1e8, rng.uniform())));
+      h.record(v);
+    }
+    std::sort(sample.begin(), sample.end());
+    for (const double q : {0.50, 0.95, 0.99}) {
+      const double rank = q * static_cast<double>(n - 1);
+      const auto below = static_cast<double>(sample[static_cast<std::size_t>(std::floor(rank))]);
+      const auto above = static_cast<double>(sample[static_cast<std::size_t>(std::ceil(rank))]);
+      const double got = h.quantile_ns(q);
+      EXPECT_TRUE(std::abs(got - below) <= below / 64.0 || std::abs(got - above) <= above / 64.0)
+          << "n=" << n << " q=" << q << " got " << got << " between " << below << " and "
+          << above;
+    }
+  }
+}
+
+TEST(ServeStatsMath, MergedHistogramEqualsHistogramOfConcatenatedSamples) {
+  Rng rng(33);
+  LatencyHistogram a, b, both;
+  ServeStats sa, sb, sboth;
+  for (int i = 0; i < 5000; ++i) {
+    const auto v = static_cast<std::uint64_t>(std::exp(rng.uniform(std::log(100.0), 23.0)));
+    (i % 3 == 0 ? a : b).record(v);
+    both.record(v);
+    const double us = static_cast<double>(v) / 1e3;
+    (i % 3 == 0 ? sa : sb).record_request(us);
+    sboth.record_request(us);
+  }
+  LatencyHistogram merged;  // an empty histogram merges as the identity
+  merged.merge(a);
+  merged.merge(b);
+  EXPECT_EQ(merged.counts(), both.counts());
+  EXPECT_EQ(merged.count(), both.count());
+  EXPECT_EQ(merged.sum_ns(), both.sum_ns());
+  EXPECT_EQ(merged.min_ns(), both.min_ns());
+  EXPECT_EQ(merged.max_ns(), both.max_ns());
+  // Snapshots merge the same way, so their quantiles are those of all
+  // the samples.
+  ServeStatsSnapshot s = sa.snapshot();
+  s.merge(sb.snapshot());
+  const ServeStatsSnapshot whole = sboth.snapshot();
+  EXPECT_EQ(s.latency.counts(), whole.latency.counts());
+  EXPECT_EQ(s.requests, whole.requests);
+  EXPECT_EQ(s.p50_us, whole.p50_us);
+  EXPECT_EQ(s.p95_us, whole.p95_us);
+  EXPECT_EQ(s.p99_us, whole.p99_us);
+  EXPECT_EQ(s.mean_us, whole.mean_us);
+  EXPECT_EQ(s.max_us, whole.max_us);
 }
 
 TEST(ServeStatsMath, SnapshotAggregates) {
@@ -456,13 +513,11 @@ TEST(ServeStatsMath, SnapshotAggregates) {
   EXPECT_NE(j.find("\"cache_hits\":1"), std::string::npos);
 }
 
-TEST(ServeStatsMath, LatencyWindowStaysBoundedOverMillionRecords) {
-  // The original latencies vector grew 8 bytes per request forever — a
-  // linear leak under soak traffic. The sliding window pins the footprint:
-  // a million records live in exactly `window` samples, while the count,
-  // mean and max stay exact over ALL requests.
-  ServeStats stats(/*latency_window=*/128);
-  ASSERT_EQ(stats.latency_window_capacity(), 128u);
+TEST(ServeStatsMath, AggregatesStayExactOverMillionRecords) {
+  // Memory is the fixed histogram however long a session serves; the
+  // count, mean and max stay exact, and the quantiles describe every
+  // request (p50 of 0..999 us, each 1000 times, is 499 us).
+  ServeStats stats;
   stats.mark_start();
   constexpr std::uint64_t kN = 1'000'000;
   for (std::uint64_t i = 0; i < kN; ++i) {
@@ -470,15 +525,10 @@ TEST(ServeStatsMath, LatencyWindowStaysBoundedOverMillionRecords) {
   }
   const ServeStatsSnapshot s = stats.snapshot();
   EXPECT_EQ(s.requests, kN);
-  EXPECT_EQ(s.percentile_window, 128u);  // percentiles describe the window...
-  EXPECT_DOUBLE_EQ(s.max_us, 999.0);     // ...aggregates describe everything
-  EXPECT_NEAR(s.mean_us, 499.5, 1e-6);
-  // The window holds the LAST 128 samples ((kN-128..kN-1) % 1000 =
-  // 872..999), so its median sits far above the all-time median — proof
-  // the percentiles really come from the bounded ring, not retained
-  // history.
-  EXPECT_GT(s.p50_us, 850.0);
-  EXPECT_LE(s.p99_us, 999.0);
+  EXPECT_EQ(s.max_us, 999.0);
+  EXPECT_EQ(s.mean_us, 499.5);
+  EXPECT_NEAR(s.p50_us, 499.0, 499.0 / 64.0);
+  EXPECT_NEAR(s.p99_us, 989.0, 989.0 / 64.0);
 }
 
 TEST(ServeStatsMath, ErrorsShedAndQueueDepthReachSnapshotAndJson) {
@@ -501,6 +551,19 @@ TEST(ServeStatsMath, ErrorsShedAndQueueDepthReachSnapshotAndJson) {
   // Window bounds ship too, so /stats consumers can rate-convert.
   EXPECT_NE(j.find("\"window_start_s\":"), std::string::npos);
   EXPECT_NE(j.find("\"window_end_s\":"), std::string::npos);
+}
+
+TEST(ServeStatsMath, JsonPrintsWindowBoundsAtFullPrecision) {
+  // Steady-clock seconds count from boot; a month of uptime is 2.6e6 s,
+  // where six significant digits would round the bounds to 10 s.
+  ServeStatsSnapshot s;
+  s.window_start_s = 2600000.125;
+  s.window_end_s = 2600007.25;
+  s.throughput_rps = 1234.56789;  // other fields keep six digits
+  const std::string j = s.json();
+  EXPECT_NE(j.find("\"window_start_s\":2600000.125,"), std::string::npos) << j;
+  EXPECT_NE(j.find("\"window_end_s\":2600007.25,"), std::string::npos) << j;
+  EXPECT_NE(j.find("\"throughput_rps\":1234.57,"), std::string::npos) << j;
 }
 
 // ---- Admission control: try_push, lanes, session-level shedding ----
@@ -597,7 +660,7 @@ TEST(DynamicBatcherErrors, ThrowingBatchCountsErrorsAndResolvesEveryPromise) {
       r.input = Tensor(Shape{1, kIn});
       r.enqueue_time = std::chrono::steady_clock::now();
       futures.push_back(r.promise.get_future());
-      ASSERT_TRUE(queue.push(std::move(r)));
+      ASSERT_EQ(queue.try_push(r), PushStatus::kOk);
     }
     // Destructor drains: every promise must resolve (with the exception).
   }
@@ -808,7 +871,7 @@ TEST(DeadlineSweep, ExpiredRequestsResolveShedWithZeroForwardExecutions) {
     r.enqueue_time = std::chrono::steady_clock::now();
     r.deadline = past;  // already hopeless when the batcher pops it
     futures.push_back(r.promise.get_future());
-    ASSERT_TRUE(queue.push(std::move(r)));
+    ASSERT_EQ(queue.try_push(r), PushStatus::kOk);
   }
   {
     DynamicBatcher batcher(
@@ -851,7 +914,7 @@ TEST(DeadlineSweep, MixedBatchExecutesOnlyUnexpiredRows) {
     } else {
       live.push_back(r.promise.get_future());
     }
-    ASSERT_TRUE(queue.push(std::move(r)));
+    ASSERT_EQ(queue.try_push(r), PushStatus::kOk);
   }
   {
     DynamicBatcher batcher(

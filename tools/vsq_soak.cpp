@@ -744,9 +744,10 @@ int main(int argc, char** argv) {
   }
   if (rss_before > 0) {
     const std::uint64_t rss_after = rss_bytes();
-    // Generous backstop: bounded latency windows + bounded queues mean
-    // serving memory is flat even under fault churn (restarted workers,
-    // rolled-back reloads); catch only a real leak, not allocator noise.
+    // Generous backstop: fixed-size latency histograms + bounded queues
+    // mean serving memory is flat even under fault churn (restarted
+    // workers, rolled-back reloads); catch only a real leak, not
+    // allocator noise.
     if (rss_after > rss_before + (64ull << 20)) {
       std::cerr << "vsq_soak: RSS grew " << (rss_after - rss_before) / (1ull << 20)
                 << " MiB over the soak (leak?)\n";
