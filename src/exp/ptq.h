@@ -112,8 +112,8 @@ std::vector<ServingModelSpec> parse_serving_models(const std::string& builtin,
 
 // One random request row [1, n] for the runner's model: for a sequence
 // model, token ids uniform in [0, vocab) at a length uniform in
-// [1, max_seq]; otherwise in_features N(0, 1) values. The serving tools
-// (vsq_serve, vsq_soak) draw their payloads from it.
+// [1, max_seq]; otherwise in_features N(0, 1) values. vsq_soak draws its
+// payloads from it.
 Tensor random_serving_input(const QuantizedModelRunner& runner, Rng& rng);
 
 }  // namespace vsq

@@ -416,10 +416,10 @@ std::string NetServer::stats_json() const {
   }
   os << "}},\"models\":[";
   bool first = true;
-  for (const RegistryModelStats& m : registry_.stats_all()) {
+  for (const auto& [name, snap] : registry_.stats_all()) {
     if (!first) os << ",";
     first = false;
-    os << "{\"name\":\"" << json_escape(m.name) << "\",\"serve\":" << m.serve.json() << "}";
+    os << "{\"name\":\"" << json_escape(name) << "\",\"serve\":" << snap.json() << "}";
   }
   os << "]}";
   return os.str();

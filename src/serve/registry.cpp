@@ -10,7 +10,7 @@
 #include "util/table.h"
 
 namespace vsq {
-ModelRegistry::ModelRegistry(ServeConfig default_cfg) : default_cfg_(default_cfg) {}
+ModelRegistry::ModelRegistry(ServeConfig cfg) : cfg_(cfg) {}
 
 ModelRegistry::~ModelRegistry() {
   // Destroy outside the lock: session destructors join their batcher
@@ -24,11 +24,6 @@ ModelRegistry::~ModelRegistry() {
 }
 
 void ModelRegistry::load(const std::string& name, QuantizedModelPackage pkg) {
-  load(name, std::move(pkg), default_cfg_);
-}
-
-void ModelRegistry::load(const std::string& name, QuantizedModelPackage pkg,
-                         const ServeConfig& cfg) {
   // Construct before taking the map lock: session construction runs the
   // warmup forward pass (milliseconds), and loading one model must not
   // stall routing for the models already serving. The name reservation is
@@ -37,7 +32,7 @@ void ModelRegistry::load(const std::string& name, QuantizedModelPackage pkg,
   if (contains(name)) {
     throw std::invalid_argument("ModelRegistry: model already serving: " + name);
   }
-  auto session = std::make_shared<InferenceSession>(std::move(pkg), cfg);
+  auto session = std::make_shared<InferenceSession>(std::move(pkg), cfg_);
   bool inserted = false;
   {
     std::unique_lock lock(mu_);
@@ -54,12 +49,7 @@ void ModelRegistry::load(const std::string& name, QuantizedModelPackage pkg,
 }
 
 void ModelRegistry::load_file(const std::string& name, const std::string& path) {
-  load_file(name, path, default_cfg_);
-}
-
-void ModelRegistry::load_file(const std::string& name, const std::string& path,
-                              const ServeConfig& cfg) {
-  load(name, QuantizedModelPackage::load(path), cfg);
+  load(name, QuantizedModelPackage::load(path));
 }
 
 bool ModelRegistry::unload(const std::string& name) {
@@ -103,11 +93,6 @@ void ModelRegistry::drain_and_retire(const std::string& name,
 }
 
 void ModelRegistry::reload(const std::string& name, QuantizedModelPackage pkg) {
-  reload(name, std::move(pkg), default_cfg_);
-}
-
-void ModelRegistry::reload(const std::string& name, QuantizedModelPackage pkg,
-                           const ServeConfig& cfg) {
   // Rollback-safe hot reload: the REPLACEMENT session is fully constructed
   // (runner built, batcher warmed) before the old one leaves routing. Any
   // failure up to the swap — construction throw, injected fault — leaves
@@ -115,7 +100,7 @@ void ModelRegistry::reload(const std::string& name, QuantizedModelPackage pkg,
   // unload-then-load idiom has. A name that is not currently serving
   // degrades to a plain load, so reload is also the crash-safe way to
   // (re)install a model unconditionally.
-  auto replacement = std::make_shared<InferenceSession>(std::move(pkg), cfg);
+  auto replacement = std::make_shared<InferenceSession>(std::move(pkg), cfg_);
   // Simulates a failure after the expensive construction but before the
   // swap (the last instant rollback must still hold).
   try {
@@ -136,15 +121,10 @@ void ModelRegistry::reload(const std::string& name, QuantizedModelPackage pkg,
 }
 
 void ModelRegistry::reload_file(const std::string& name, const std::string& path) {
-  reload_file(name, path, default_cfg_);
-}
-
-void ModelRegistry::reload_file(const std::string& name, const std::string& path,
-                                const ServeConfig& cfg) {
   // QuantizedModelPackage::load throws on corrupt/invalid archives BEFORE
   // any registry state changes — the old model keeps serving through a
   // failed reload, which is the load_file rollback contract.
-  reload(name, QuantizedModelPackage::load(path), cfg);
+  reload(name, QuantizedModelPackage::load(path));
 }
 
 bool ModelRegistry::contains(const std::string& name) const {
@@ -218,7 +198,7 @@ ServeStatsSnapshot ModelRegistry::stats(const std::string& name) const {
   return merged;
 }
 
-std::vector<RegistryModelStats> ModelRegistry::stats_all() const {
+std::map<std::string, ServeStatsSnapshot> ModelRegistry::stats_all() const {
   // Copy the session sets + retired map under the lock, read live stats
   // outside it (each session's snapshot takes its own stats mutex).
   std::map<std::string, std::shared_ptr<InferenceSession>> live;
@@ -235,27 +215,19 @@ std::vector<RegistryModelStats> ModelRegistry::stats_all() const {
   }
   for (const auto& [name, s] : live) acc[name].merge(s->stats());
   // Names that served earlier but are currently unloaded still report.
-  std::vector<RegistryModelStats> out;
-  out.reserve(acc.size());
-  for (auto& [name, snap] : acc) {
-    const auto it = live.find(name);
-    out.push_back(RegistryModelStats{
-        name, std::move(snap), it != live.end() ? it->second->datapath_stats() : IntGemmStats{}});
-  }
-  return out;
+  return acc;
 }
 
 void ModelRegistry::print_stats(std::ostream& os) const {
-  const std::vector<RegistryModelStats> all = stats_all();
+  const std::map<std::string, ServeStatsSnapshot> all = stats_all();
   Table t({"Model", "Requests", "Batches", "Mean batch", "Cache hits", "Errors", "Shed",
            "Expired", "Restarts", "Queue", "Throughput r/s", "p50 us", "p95 us", "p99 us",
            "Packed wt KiB"});
   std::uint64_t requests = 0, batches = 0, hits = 0, errors = 0, shed = 0, expired = 0,
                 restarts = 0, queued = 0, packed = 0;
   double rps = 0.0;
-  for (const RegistryModelStats& m : all) {
-    const ServeStatsSnapshot& s = m.serve;
-    t.add_row({m.name, std::to_string(s.requests), std::to_string(s.batches),
+  for (const auto& [name, s] : all) {
+    t.add_row({name, std::to_string(s.requests), std::to_string(s.batches),
                Table::num(s.mean_batch, 2), std::to_string(s.cache_hits),
                std::to_string(s.errors), std::to_string(s.shed),
                std::to_string(s.deadline_expired), std::to_string(s.worker_restarts),

@@ -31,17 +31,10 @@
 
 namespace vsq {
 
-// Per-model stats row returned by stats_all().
-struct RegistryModelStats {
-  std::string name;
-  ServeStatsSnapshot serve;
-  IntGemmStats datapath;  // all-zero unless the model collects datapath stats
-};
-
 class ModelRegistry {
  public:
-  // `default_cfg` applies to loads that do not pass their own ServeConfig.
-  explicit ModelRegistry(ServeConfig default_cfg = {});
+  // Every session the registry builds serves under `cfg`.
+  explicit ModelRegistry(ServeConfig cfg = {});
   ~ModelRegistry();  // shuts down every session (drains + joins)
 
   ModelRegistry(const ModelRegistry&) = delete;
@@ -52,13 +45,11 @@ class ModelRegistry {
   // package has no runnable program. Reusing a name after unload() is the
   // hot-reload path and is fine.
   void load(const std::string& name, QuantizedModelPackage pkg);
-  void load(const std::string& name, QuantizedModelPackage pkg, const ServeConfig& cfg);
 
   // Load from a .vsqa archive. Corrupt archives throw (Archive::load /
   // QuantizedModelPackage::load validate everything) without disturbing
   // the models already serving.
   void load_file(const std::string& name, const std::string& path);
-  void load_file(const std::string& name, const std::string& path, const ServeConfig& cfg);
 
   // Remove `name` from routing, drain its queue, join its batcher. Every
   // request accepted before the drain still resolves. Returns false when
@@ -73,9 +64,7 @@ class ModelRegistry {
   // unload-then-load idiom. A name not currently serving degrades to a
   // plain load.
   void reload(const std::string& name, QuantizedModelPackage pkg);
-  void reload(const std::string& name, QuantizedModelPackage pkg, const ServeConfig& cfg);
   void reload_file(const std::string& name, const std::string& path);
-  void reload_file(const std::string& name, const std::string& path, const ServeConfig& cfg);
 
   bool contains(const std::string& name) const;
   std::size_t size() const;
@@ -94,14 +83,14 @@ class ModelRegistry {
   // unloaded session throws. nullptr when the model is not loaded.
   std::shared_ptr<InferenceSession> session(const std::string& name) const;
 
-  // Per-model stats, name-sorted, cumulative across hot reloads: when a
+  // Per-model stats keyed by name, cumulative across hot reloads: when a
   // model is unloaded its final (post-drain) snapshot is retired and
   // merged into any later serving of the same name
   // (ServeStatsSnapshot::merge), so its latency quantiles cover every
   // request the name served. stats(name) throws std::out_of_range when
   // the name never served.
   ServeStatsSnapshot stats(const std::string& name) const;
-  std::vector<RegistryModelStats> stats_all() const;
+  std::map<std::string, ServeStatsSnapshot> stats_all() const;
 
   // Aligned table: one row per model plus a TOTAL row (request/batch/hit
   // counts summed, throughput summed). The TOTAL row leaves the latency
@@ -116,7 +105,7 @@ class ModelRegistry {
   void drain_and_retire(const std::string& name,
                         const std::shared_ptr<InferenceSession>& victim);
 
-  ServeConfig default_cfg_;
+  ServeConfig cfg_;
   mutable std::shared_mutex mu_;
   std::map<std::string, std::shared_ptr<InferenceSession>> sessions_;
   // Sessions removed from routing but still draining (unload() in

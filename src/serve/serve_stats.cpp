@@ -4,10 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <ostream>
 #include <sstream>
-
-#include "util/table.h"
 
 namespace vsq {
 namespace {
@@ -186,19 +183,6 @@ void ServeStatsSnapshot::merge(const ServeStatsSnapshot& other) {
   // one serving instance.
   packed_weight_bytes = std::max(packed_weight_bytes, other.packed_weight_bytes);
   derive(*this);
-}
-
-void ServeStatsSnapshot::print_table(std::ostream& os) const {
-  Table t({"Requests", "Batches", "Mean batch", "Cache hits", "Errors", "Shed", "Expired",
-           "Restarts", "Queue", "Throughput r/s", "p50 us", "p95 us", "p99 us", "max us",
-           "Packed wt KiB"});
-  t.add_row({std::to_string(requests), std::to_string(batches), Table::num(mean_batch, 2),
-             std::to_string(cache_hits), std::to_string(errors), std::to_string(shed),
-             std::to_string(deadline_expired), std::to_string(worker_restarts),
-             std::to_string(queue_depth), Table::num(throughput_rps, 1), Table::num(p50_us, 1),
-             Table::num(p95_us, 1), Table::num(p99_us, 1), Table::num(max_us, 1),
-             Table::num(static_cast<double>(packed_weight_bytes) / 1024.0, 1)});
-  t.print(os);
 }
 
 std::string ServeStatsSnapshot::json() const {

@@ -14,7 +14,6 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
-#include <iosfwd>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -119,11 +118,10 @@ struct ServeStatsSnapshot {
   // recomputed from the merged counts.
   void merge(const ServeStatsSnapshot& other);
 
-  // Two-row aligned table (util/Table) for terminal output.
-  void print_table(std::ostream& os) const;
-  // Single-line JSON object, machine-readable (vsq_serve --json-out, the
-  // net server's /stats endpoint). Carries every scalar snapshot field;
-  // the latency histogram is summarised by its quantiles, mean and max.
+  // Single-line JSON object, machine-readable (the net server's /stats
+  // endpoint, vsq_soak's per-model line). Carries every scalar snapshot
+  // field; the latency histogram is summarised by its quantiles, mean and
+  // max.
   std::string json() const;
 };
 

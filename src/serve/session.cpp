@@ -29,22 +29,6 @@ InferenceSession::InferenceSession(QuantizedModelPackage pkg, ServeConfig cfg)
       cache_.put(key, std::move(entry));
     };
   }
-  if (cfg_.collect_datapath_stats) {
-    batch_fn_ = [this](const Tensor& batch) {
-      IntGemmStats local;
-      Tensor y = runner_.forward(batch, &local);
-      std::lock_guard lock(gemm_stats_mu_);
-      gemm_stats_.vector_ops += local.vector_ops;
-      gemm_stats_.zero_scale_products += local.zero_scale_products;
-      gemm_stats_.zero_dot_products += local.zero_dot_products;
-      gemm_stats_.panels_packed += local.panels_packed;
-      gemm_stats_.panels_unpacked_materialized += local.panels_unpacked_materialized;
-      gemm_stats_.max_abs_psum = std::max(gemm_stats_.max_abs_psum, local.max_abs_psum);
-      return y;
-    };
-  } else {
-    batch_fn_ = [this](const Tensor& batch) { return runner_.forward(batch); };
-  }
   batcher_ = make_batcher(cfg_.warmup);
   if (cfg_.watchdog) {
     watchdog_ = std::thread([this] { watchdog_loop(); });
@@ -57,8 +41,9 @@ std::unique_ptr<DynamicBatcher> InferenceSession::make_batcher(bool warmup) {
   bc.max_wait_us = cfg_.max_wait_us;
   bc.warmup = warmup;
   bc.out_per_token = runner_.out_per_token();  // 0 (not a sequence model) or > 0
-  return std::make_unique<DynamicBatcher>(queue_, batch_fn_, runner_.in_features(), bc, stats_,
-                                          result_hook_);
+  return std::make_unique<DynamicBatcher>(
+      queue_, [this](const Tensor& batch) { return runner_.forward(batch); },
+      runner_.in_features(), bc, stats_, result_hook_);
 }
 
 InferenceSession::~InferenceSession() { shutdown(); }
@@ -222,13 +207,11 @@ std::future<Tensor> InferenceSession::submit(const Tensor& input, Priority prior
   std::future<Tensor> f = req.promise.get_future();
 
   // Admission. kLow's depth limit carves headroom out of the shared queue
-  // (0 = the queue's own bound): on a bounded queue kLow sheds first,
-  // while kHigh and kNormal admit up to the full depth.
+  // (0 = the queue's own bound): on a bounded queue kLow sheds at half
+  // the depth, while kHigh and kNormal admit up to the full depth.
   std::size_t lane_limit = 0;
   if (cfg_.queue_depth > 0 && priority == Priority::kLow) {
-    const double clamped = std::min(1.0, std::max(0.0, cfg_.low_lane_fraction));
-    lane_limit = std::max<std::size_t>(
-        1, static_cast<std::size_t>(clamped * static_cast<double>(cfg_.queue_depth)));
+    lane_limit = std::max<std::size_t>(1, cfg_.queue_depth / 2);
   }
 
   PushStatus st;
@@ -259,11 +242,6 @@ std::future<Tensor> InferenceSession::submit(const Tensor& input, Priority prior
 
 Tensor InferenceSession::infer(const Tensor& input, Priority priority) {
   return submit(input, priority).get();
-}
-
-IntGemmStats InferenceSession::datapath_stats() const {
-  std::lock_guard lock(gemm_stats_mu_);
-  return gemm_stats_;
 }
 
 }  // namespace vsq

@@ -9,7 +9,7 @@
 //   InferenceSession session(QuantizedModelPackage::load(path), cfg);
 //   std::future<Tensor> f = session.submit(input_row);
 //   Tensor y = f.get();                 // [1, out_features]
-//   session.stats().print_table(std::cout);
+//   std::cout << session.stats().json() << "\n";
 #pragma once
 
 #include <atomic>
@@ -30,10 +30,10 @@
 namespace vsq {
 
 // Priority lane of a request. Lanes layer on the ONE shared RequestQueue
-// as admission headroom, not separate queues: kLow requests are shed once
-// the queue is fuller than ServeConfig::low_lane_fraction of queue_depth,
-// so under overload low-priority traffic starts shedding first and kHigh
-// and kNormal requests still admit into the space kLow may not use.
+// as admission headroom, not separate queues: on a bounded queue kLow
+// requests are shed once it holds max(1, queue_depth / 2), so under
+// overload low-priority traffic starts shedding first and kHigh and
+// kNormal requests still admit into the half kLow may not use.
 // Batching/FIFO order inside the queue is unchanged.
 enum class Priority : std::uint8_t { kHigh = 0, kNormal = 1, kLow = 2 };
 
@@ -49,10 +49,6 @@ struct ServeConfig {
   std::size_t queue_depth = 0;   // bound on queued requests; 0 = unbounded
   std::size_t cache_entries = 0; // repeated-input BlobCache size; 0 = off
   bool warmup = true;
-  // Accumulate IntGemmStats (vector ops, gating) across batches. The
-  // counters cost measurable time per scale product, so serving defaults
-  // to off; enable for datapath analysis (vsq_serve --datapath-stats).
-  bool collect_datapath_stats = false;
   // Admission control at submit() on a bounded queue (queue_depth > 0):
   //   < 0  (default) block until space frees — the legacy in-process
   //        behavior, where backpressure is the caller's blocked thread;
@@ -61,10 +57,6 @@ struct ServeConfig {
   // A server front-end wants 0 (or small): an explicit rejection the
   // client can act on beats an invisible head-of-line stall.
   int admission_timeout_us = -1;
-  // kLow admission headroom as a fraction of queue_depth (only meaningful
-  // on a bounded queue): kLow sheds once the queue is this full, while
-  // kHigh and kNormal admit up to the full depth.
-  double low_lane_fraction = 0.5;
   // Batcher watchdog: a monitor thread that detects a dead worker (thread
   // exited with the queue still open — escaped exception, injected death)
   // or a stalled one (busy in the forward pass with a stale heartbeat)
@@ -132,8 +124,6 @@ class InferenceSession {
     s.queue_depth = queue_.depth();
     return s;
   }
-  // Aggregate integer-datapath stats over every batched forward pass.
-  IntGemmStats datapath_stats() const;
 
  private:
   std::unique_ptr<DynamicBatcher> make_batcher(bool warmup);
@@ -149,11 +139,8 @@ class InferenceSession {
   std::uint64_t packed_weight_bytes_ = 0;
   BlobCache cache_;
   RequestQueue queue_;
-  mutable std::mutex gemm_stats_mu_;
-  IntGemmStats gemm_stats_;
   std::atomic<std::uint64_t> next_id_{0};
-  // Kept as members so the watchdog can build replacement batchers.
-  DynamicBatcher::BatchFn batch_fn_;
+  // Kept as a member so the watchdog can build replacement batchers.
   DynamicBatcher::ResultHook result_hook_;
   // Guards batcher_/zombies_/restarts_used_ against watchdog vs shutdown
   // races. The submit path never takes it (producers only touch queue_).

@@ -1,5 +1,6 @@
 #include "util/result_cache.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -65,12 +66,8 @@ std::optional<std::vector<float>> BlobCache::get(const std::string& key) {
   if (capacity_ == 0) return std::nullopt;
   std::lock_guard lock(mu_);
   const auto it = index_.find(key);
-  if (it == index_.end()) {
-    ++misses_;
-    return std::nullopt;
-  }
+  if (it == index_.end()) return std::nullopt;
   lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
-  ++hits_;
   return it->second->second;
 }
 
@@ -89,21 +86,6 @@ void BlobCache::put(const std::string& key, std::vector<float> value) {
     index_.erase(lru_.back().first);
     lru_.pop_back();
   }
-}
-
-std::size_t BlobCache::size() const {
-  std::lock_guard lock(mu_);
-  return lru_.size();
-}
-
-std::uint64_t BlobCache::hits() const {
-  std::lock_guard lock(mu_);
-  return hits_;
-}
-
-std::uint64_t BlobCache::misses() const {
-  std::lock_guard lock(mu_);
-  return misses_;
 }
 
 }  // namespace vsq

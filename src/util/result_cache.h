@@ -5,7 +5,6 @@
 // — the serving engine short-circuits repeated inference inputs with it.
 #pragma once
 
-#include <cstdint>
 #include <list>
 #include <map>
 #include <mutex>
@@ -55,19 +54,13 @@ class BlobCache {
   std::optional<std::vector<float>> get(const std::string& key);
   void put(const std::string& key, std::vector<float> value);
 
-  std::size_t capacity() const { return capacity_; }
-  std::size_t size() const;
-  std::uint64_t hits() const;
-  std::uint64_t misses() const;
-
  private:
   using Entry = std::pair<std::string, std::vector<float>>;
 
   std::size_t capacity_;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::list<Entry> lru_;  // front = most recent
   std::unordered_map<std::string, std::list<Entry>::iterator> index_;
-  std::uint64_t hits_ = 0, misses_ = 0;
 };
 
 }  // namespace vsq

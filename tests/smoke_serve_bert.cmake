@@ -1,13 +1,14 @@
 # End-to-end transformer serving smoke test: export the tiny BERT-style
 # encoder's integer package with vsq_quantize (sequence geometry, fp32
 # layernorm/embedding sidecars, the embed/attention/gelu forward program),
-# inspect it, then drive vsq_serve with concurrent clients sending token
-# rows of MIXED lengths. The tool's --check audit (on by default) makes
+# inspect it, then drive it with vsq_soak's one-model closed loop (no
+# reloads, one request per client iteration), clients sending token rows
+# of MIXED lengths. The tool's differential audit (on by default) makes
 # the run fail unless every served output is bit-identical to sequential
 # single-request inference at its own true length, and the stats gate
 # asserts the batcher actually mixed two true lengths in one forward
 # pass. Invoked from ctest (see tests/CMakeLists.txt) with
-#   -DVSQ_QUANTIZE=<path> -DVSQ_INSPECT=<path> -DVSQ_SERVE=<path>
+#   -DVSQ_QUANTIZE=<path> -DVSQ_INSPECT=<path> -DVSQ_SOAK=<path>
 #   -DWORK_DIR=<scratch dir>
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
@@ -49,19 +50,19 @@ endif()
 # mixed-length coalescing essentially certain; the gates below still
 # assert it rather than assume it.
 execute_process(
-  COMMAND "${VSQ_SERVE}" "--package=${PACKAGE}" --clients=6 --requests=96
-          --max-batch=8 --max-wait-us=5000
+  COMMAND "${VSQ_SOAK}" "--packages=tiny_bert=${PACKAGE}" --reload-every=0 --burst-max=1
+          --clients=6 --requests=96 --max-batch=8 --max-wait-us=5000 --unique=96
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE out ERROR_VARIABLE out)
-message(STATUS "vsq_serve output:\n${out}")
+message(STATUS "vsq_soak output:\n${out}")
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "vsq_serve failed with exit code ${rc}")
+  message(FATAL_ERROR "vsq_soak failed with exit code ${rc}")
 endif()
-if(NOT out MATCHES "96 outputs verified bit-identical to sequential execution")
-  message(FATAL_ERROR "vsq_serve did not report the bit-exactness audit")
+if(NOT out MATCHES "96 responses verified bit-identical to sequential execution")
+  message(FATAL_ERROR "vsq_soak did not report the bit-exactness audit")
 endif()
 if(NOT out MATCHES "\"requests\":96")
-  message(FATAL_ERROR "vsq_serve JSON line missing or wrong request count")
+  message(FATAL_ERROR "vsq_soak JSON line missing or wrong request count")
 endif()
 if(out MATCHES "\"mixed_bucket_batches\":0,")
   message(FATAL_ERROR "no batch mixed two sequence lengths - the "

@@ -1,11 +1,12 @@
 # End-to-end CNN serving smoke test: export the tiny residual CNN's
 # integer package with vsq_quantize (conv geometry + conv/residual/pool
-# forward program + input image shape), inspect it, then drive vsq_serve
-# with concurrent clients. The tool's --check audit (on by default) makes
-# the run fail unless every served output is bit-identical to sequential
-# single-sample inference through the tiled integer conv datapath.
-# Invoked from ctest (see tests/CMakeLists.txt) with
-#   -DVSQ_QUANTIZE=<path> -DVSQ_INSPECT=<path> -DVSQ_SERVE=<path>
+# forward program + input image shape), inspect it, then drive it with
+# vsq_soak's one-model closed loop (no reloads, one request per client
+# iteration, a distinct input per request). The tool's differential audit
+# (on by default) makes the run fail unless every served output is
+# bit-identical to sequential single-sample inference through the tiled
+# integer conv datapath. Invoked from ctest (see tests/CMakeLists.txt) with
+#   -DVSQ_QUANTIZE=<path> -DVSQ_INSPECT=<path> -DVSQ_SOAK=<path>
 #   -DWORK_DIR=<scratch dir>
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
@@ -38,17 +39,17 @@ if(NOT out MATCHES "3x3 s1 p1")
 endif()
 
 execute_process(
-  COMMAND "${VSQ_SERVE}" "--package=${PACKAGE}" --clients=4 --requests=48
-          --max-batch=8
+  COMMAND "${VSQ_SOAK}" "--packages=tiny_conv=${PACKAGE}" --reload-every=0 --burst-max=1
+          --clients=4 --requests=48 --max-batch=8 --unique=48
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE out ERROR_VARIABLE out)
-message(STATUS "vsq_serve output:\n${out}")
+message(STATUS "vsq_soak output:\n${out}")
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "vsq_serve failed with exit code ${rc}")
+  message(FATAL_ERROR "vsq_soak failed with exit code ${rc}")
 endif()
-if(NOT out MATCHES "48 outputs verified bit-identical to sequential execution")
-  message(FATAL_ERROR "vsq_serve did not report the bit-exactness audit")
+if(NOT out MATCHES "48 responses verified bit-identical to sequential execution")
+  message(FATAL_ERROR "vsq_soak did not report the bit-exactness audit")
 endif()
 if(NOT out MATCHES "\"requests\":48")
-  message(FATAL_ERROR "vsq_serve JSON line missing or wrong request count")
+  message(FATAL_ERROR "vsq_soak JSON line missing or wrong request count")
 endif()

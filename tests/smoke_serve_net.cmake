@@ -12,6 +12,10 @@
 #      (--slow-clients). Every accepted response is audited bit-identical
 #      to a sequential reference runner; shed counts are cross-checked
 #      client vs server vs registry.
+#   3. Usage errors exit 2: vsq_soak --connect=127.0.0.1: (no port) must
+#      not end in an uncaught exception, and an unknown flag
+#      (vsq_soak --package=, vsq_serve_net --low-lane=) must not be
+#      silently ignored.
 #
 # Pass/fail rides on exit codes (both tools exit non-zero on any gate
 # failure) plus a few output markers. Invoked from ctest with
@@ -54,4 +58,31 @@ if(NOT out MATCHES "shed")
 endif()
 if(out MATCHES " 0 hot reloads")
   message(FATAL_ERROR "vsq_soak --net performed no hot reloads (chaos trigger broken)")
+endif()
+
+execute_process(
+  COMMAND "${VSQ_SOAK}" --connect=127.0.0.1: --builtin=tiny
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out ERROR_VARIABLE out)
+message(STATUS "vsq_soak --connect=127.0.0.1: output:\n${out}")
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "vsq_soak --connect with no port exited ${rc}, not the usage error 2")
+endif()
+
+execute_process(
+  COMMAND "${VSQ_SOAK}" --package=x.vsqa --builtin=tiny --requests=8
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out ERROR_VARIABLE out)
+message(STATUS "vsq_soak --package=x.vsqa output:\n${out}")
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "vsq_soak with the unknown flag --package exited ${rc}, not the usage error 2")
+endif()
+
+execute_process(
+  COMMAND "${VSQ_SERVE_NET}" --builtin=tiny --selfcheck --low-lane=0.25
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out ERROR_VARIABLE out)
+message(STATUS "vsq_serve_net --low-lane=0.25 output:\n${out}")
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "vsq_serve_net with the unknown flag --low-lane exited ${rc}, not the usage error 2")
 endif()

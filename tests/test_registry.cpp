@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <future>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -110,10 +111,10 @@ TEST(ModelRegistry, HotReloadReusesNameAndAccumulatesStats) {
   expect_bitwise_equal(before, after);
   // Cumulative across the reload: both windows count.
   EXPECT_EQ(reg.stats("m").requests, 2u);
-  const std::vector<RegistryModelStats> all = reg.stats_all();
+  const std::map<std::string, ServeStatsSnapshot> all = reg.stats_all();
   ASSERT_EQ(all.size(), 1u);
-  EXPECT_EQ(all[0].name, "m");
-  EXPECT_EQ(all[0].serve.requests, 2u);
+  ASSERT_EQ(all.count("m"), 1u);
+  EXPECT_EQ(all.at("m").requests, 2u);
 }
 
 TEST(ModelRegistry, ShedCounterAccumulatesAcrossHotReloads) {
@@ -175,9 +176,7 @@ TEST(ModelRegistry, StatsStayVisibleWhileDraining) {
   // must never vanish from stats: no out_of_range, no dropped row.
   for (int i = 0; i < 200; ++i) {
     (void)reg.stats("m");
-    bool found = false;
-    for (const RegistryModelStats& m : reg.stats_all()) found = found || m.name == "m";
-    EXPECT_TRUE(found) << "iteration " << i;
+    EXPECT_EQ(reg.stats_all().count("m"), 1u) << "iteration " << i;
     std::this_thread::yield();
   }
   unloader.join();
@@ -249,7 +248,7 @@ TEST(ModelRegistry, ConcurrentMixedTrafficBitExact) {
   for (auto& t : clients) t.join();
   EXPECT_EQ(failures.load(), 0);
   std::uint64_t total = 0;
-  for (const RegistryModelStats& m : reg.stats_all()) total += m.serve.requests;
+  for (const auto& [name, snap] : reg.stats_all()) total += snap.requests;
   EXPECT_EQ(total, static_cast<std::uint64_t>(kClients * kPerClient));
 }
 

@@ -13,7 +13,7 @@
 // --model=tiny is a randomly-initialized 2-layer MLP and --model=tiny_conv
 // a randomly-initialized tiny residual CNN; neither needs a trained
 // checkpoint — they exercise the full calibrate/export path in
-// milliseconds (used by the ctest smoke tests and servable by vsq_serve:
+// milliseconds (used by the ctest smoke tests and servable by vsq_soak:
 // their packages carry the forward program QuantizedModelRunner executes,
 // tiny_conv's with conv/residual/pool ops and the input geometry).
 // --model=resnet also attaches the CNN forward program, so the trained

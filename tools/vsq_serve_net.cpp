@@ -13,18 +13,20 @@
 //                 [--queue-depth=256]            bounded per-model queue
 //                 [--admission-timeout-us=0]     0 = shed immediately when
 //                                                full; -1 = block (no shed)
-//                 [--low-lane=0.5]               kLow admission fraction
 //                 [--selfcheck]                  loopback round trip + exit
 //
 // Serving a network port wants explicit load shedding, so unlike the
 // in-process tools the queue is bounded by default and a full queue
 // answers kShed instead of stalling the connection. The startup banner
 // "vsq_serve_net listening on HOST:PORT" is printed (and flushed) once
-// the socket is live, so scripts can scrape the ephemeral port.
+// the socket is live, so scripts can scrape the ephemeral port. An
+// unknown flag is a usage error (exit 2).
 #include <atomic>
 #include <csignal>
 #include <cstring>
 #include <iostream>
+#include <set>
+#include <string>
 #include <thread>
 
 #include "exp/ptq.h"
@@ -55,12 +57,15 @@ int main(int argc, char** argv) {
   cfg.scale_product_bits = args.get_int("scale-bits", -1);
   cfg.queue_depth = static_cast<std::size_t>(std::max(0, args.get_int("queue-depth", 256)));
   cfg.admission_timeout_us = args.get_int("admission-timeout-us", 0);
-  cfg.low_lane_fraction = args.get_double("low-lane", 0.5);
 
   vsq::net::NetServerConfig net_cfg;
   net_cfg.host = args.get_str("host", "127.0.0.1");
   net_cfg.port = args.get_int("port", 0);
   net_cfg.max_connections = std::max(1, args.get_int("max-connections", 64));
+  if (const std::set<std::string> unknown = args.unused(); !unknown.empty()) {
+    std::cerr << "vsq_serve_net: unknown flag --" << *unknown.begin() << "\n";
+    return 2;
+  }
 
   std::vector<ServingModelSpec> models;
   try {

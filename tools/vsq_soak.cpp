@@ -1,14 +1,19 @@
-// vsq_soak — randomized multi-model soak driver for the ModelRegistry
-// (src/serve/registry.h), with a differential audit: every served response
-// is compared bit-for-bit against a fresh sequential single-sample
-// reference runner built independently of the serving stack. K client
-// threads hammer the registry with interleaved traffic across every
-// loaded model (MLP, CNN and token-row sequence programs), submit
-// random-size request bursts to vary batch pressure, and a chaos thread
-// hot-unloads and reloads models mid-run — the audit must stay clean
-// through all of it. This is the standing concurrency oracle for the
-// serving engine: any batching, routing, caching or drain bug that alters
-// even one output bit fails the run.
+// vsq_soak — the load generator and differential audit for the serving
+// stack: randomized multi-model traffic through the ModelRegistry
+// (src/serve/registry.h), with every served response compared bit-for-bit
+// against a fresh sequential single-sample reference runner built
+// independently of the serving stack. K client threads hammer the
+// registry with interleaved traffic across every loaded model (MLP, CNN
+// and token-row sequence programs), submit random-size request bursts to
+// vary batch pressure, and a chaos thread hot-unloads and reloads models
+// mid-run — the audit must stay clean through all of it. This is the
+// standing concurrency oracle for the serving engine: any batching,
+// routing, caching or drain bug that alters even one output bit fails the
+// run. With one model, --reload-every=0 and --burst-max=1 it is a plain
+// closed-loop load generator (each client waits for its response before
+// the next request):
+//
+//   vsq_soak --packages=tiny=tiny_int.vsqa --reload-every=0 --burst-max=1
 //
 // Network mode (--net) runs the same oracle ACROSS THE WIRE: an
 // in-process NetServer (src/net/server.h) fronts the registry on an
@@ -62,14 +67,24 @@
 //                                 --connect (failpoints are in-process).
 //            [--chaos-interval-ms=25]  storm re-arm cadence
 //
+// The report is the registry's stats table, then one
+// ServeStatsSnapshot::json() line per model in the table's (name) order,
+// both skipped under --connect, then the totals. With the audit on, it
+// ends with the integer datapath line — IntGemmStats (vector ops,
+// gateable zero products) summed over the sequential reference pass, so
+// each distinct input counts once — and the audit line.
+//
 // Exit status: 0 clean, 1 on any bit mismatch (or a model that failed to
-// build/load), so CI can gate on it — ctest soak_smoke runs a short
-// deterministic-seed pass over a 2-model registry, serve_net_smoke the
-// network mode with forced overload + slow clients, and the slow-labeled
-// soak_long the full builtin mix.
+// build/load), 2 on a usage error (an unknown flag included), so CI can
+// gate on it — ctest
+// serve_smoke, serve_conv_smoke and serve_bert_smoke run the one-model
+// closed loop above, soak_smoke a short deterministic-seed pass over a
+// 2-model registry, serve_net_smoke the network mode with forced overload
+// + slow clients, and the slow-labeled soak_long the full builtin mix.
 #include <unistd.h>
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstring>
 #include <exception>
@@ -80,6 +95,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -150,15 +166,7 @@ int main(int argc, char** argv) {
   const bool slow_clients = args.get_flag("slow-clients");
   const bool chaos = args.get_flag("chaos");
   const int chaos_interval_ms = std::max(1, args.get_int("chaos-interval-ms", 25));
-  if (chaos && external) {
-    std::cerr << "vsq_soak: --chaos injects in-process failpoints and cannot target an "
-                 "external server (--connect)\n";
-    return 2;
-  }
-  // An external server cannot be chaos-reloaded from here.
-  const auto reload_every = external ? 0ull
-      : static_cast<std::uint64_t>(std::max(0, args.get_int("reload-every", 64)));
-
+  const int reload_flag = std::max(0, args.get_int("reload-every", 64));
   ServeConfig cfg;
   cfg.max_batch = std::max(1, args.get_int("max-batch", 16));
   cfg.max_wait_us = std::max(0, args.get_int("max-wait-us", 0));
@@ -166,6 +174,32 @@ int main(int argc, char** argv) {
   cfg.scale_product_bits = args.get_int("scale-bits", -1);
   cfg.queue_depth = static_cast<std::size_t>(std::max(0, args.get_int("queue-depth", 0)));
   cfg.admission_timeout_us = args.get_int("admission-timeout-us", -1);
+  if (const std::set<std::string> unknown = args.unused(); !unknown.empty()) {
+    std::cerr << "vsq_soak: unknown flag --" << *unknown.begin() << "\n";
+    return 2;
+  }
+  if (chaos && external) {
+    std::cerr << "vsq_soak: --chaos injects in-process failpoints and cannot target an "
+                 "external server (--connect)\n";
+    return 2;
+  }
+  std::string host = "127.0.0.1";
+  int port = 0;
+  if (external) {
+    const std::size_t colon = connect.rfind(':');
+    const std::string digits = colon == std::string::npos ? "" : connect.substr(colon + 1);
+    const char* last = digits.data() + digits.size();
+    const auto [end, ec] = std::from_chars(digits.data(), last, port);
+    if (ec != std::errc() || end != last || port < 1 || port > 65535) {
+      std::cerr << "vsq_soak: --connect must be host:port with a port in 1..65535, got: "
+                << connect << "\n";
+      return 2;
+    }
+    host = connect.substr(0, colon);
+  }
+  // An external server cannot be chaos-reloaded from here.
+  const auto reload_every = external ? 0ull : static_cast<std::uint64_t>(reload_flag);
+
   if (chaos) {
     // Injected worker deaths/stalls are routine under the storm: make the
     // watchdog aggressive and its restart budget effectively unlimited so
@@ -196,6 +230,7 @@ int main(int argc, char** argv) {
 
   // ---- Reference oracles + deterministic input pools + registry load ----
   ModelRegistry registry(cfg);
+  IntGemmStats datapath_stats;  // summed over every model's reference pass
   try {
     for (std::size_t m = 0; m < models.size(); ++m) {
       SoakModel& sm = models[m];
@@ -206,8 +241,10 @@ int main(int argc, char** argv) {
       if (check) {
         // The differential oracle: sequential single-sample execution
         // through an independently built runner, computed before any
-        // serving traffic exists.
-        for (const Tensor& t : sm.inputs) sm.expected.push_back(sm.ref->forward(t));
+        // serving traffic exists; it also counts the integer datapath.
+        for (const Tensor& t : sm.inputs) {
+          sm.expected.push_back(sm.ref->forward(t, &datapath_stats));
+        }
       }
       // A copy of the already-built package is just as independent of the
       // oracle runner as a second build() would be, without repeating the
@@ -222,8 +259,6 @@ int main(int argc, char** argv) {
 
   // ---- Network front-end (when requested) ----
   std::unique_ptr<vsq::net::NetServer> server;
-  std::string host = "127.0.0.1";
-  int port = 0;
   if (net && !external) {
     vsq::net::NetServerConfig net_cfg;  // ephemeral loopback port
     net_cfg.max_connections = clients + 8;  // headroom for the HTTP/slow probes
@@ -233,14 +268,6 @@ int main(int argc, char** argv) {
     net_cfg.write_timeout_ms = 2000;
     server = std::make_unique<vsq::net::NetServer>(registry, net_cfg);
     port = server->port();
-  } else if (external) {
-    const std::size_t colon = connect.rfind(':');
-    if (colon == std::string::npos) {
-      std::cerr << "vsq_soak: --connect must be host:port, got: " << connect << "\n";
-      return 2;
-    }
-    host = connect.substr(0, colon);
-    port = std::stoi(connect.substr(colon + 1));
   }
 
   std::cout << "soaking " << models.size() << " models (";
@@ -648,7 +675,10 @@ int main(int argc, char** argv) {
   }
 
   // ---- Report ----
-  if (!external) registry.print_stats(std::cout);
+  if (!external) {
+    registry.print_stats(std::cout);
+    for (const auto& [name, snap] : registry.stats_all()) std::cout << snap.json() << "\n";
+  }
   std::cout << "soak totals: " << completed.load() << " completed, " << shed.load()
             << " shed, " << rejected.load() << " rejected mid-reload, " << reloads.load()
             << " hot reloads";
@@ -703,7 +733,7 @@ int main(int argc, char** argv) {
     // can send a frame (counted server-side) the client never decoded.
     if (!chaos) {
       std::uint64_t stats_shed = 0;
-      for (const RegistryModelStats& m : registry.stats_all()) stats_shed += m.serve.shed;
+      for (const auto& [name, snap] : registry.stats_all()) stats_shed += snap.shed;
       // Client sheds came through the wire 1:1 (QueueFullError is the only
       // shed source and every one was answered with a kShed frame). The
       // slow-client "send and vanish" request may add an extra frames_ok
@@ -767,6 +797,8 @@ int main(int argc, char** argv) {
       std::cerr << "vsq_soak: audit enabled but zero responses audited\n";
       return 1;
     }
+    std::cout << "integer datapath: " << datapath_stats.vector_ops << " vector ops, "
+              << static_cast<int>(100.0 * datapath_stats.gateable_fraction()) << "% gateable\n";
     std::cout << audited.load() << " responses verified bit-identical to sequential execution\n";
   }
   return 0;
