@@ -6,10 +6,12 @@
 #include <cstdlib>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hw/pe_simulator.h"
 #include "kernels/isa.h"
+#include "kernels/registry.h"
 #include "quant/fake_quant.h"
 #include "quant/int_conv.h"
 #include "quant/int_gemm.h"
@@ -271,6 +273,57 @@ const int kIsaTierBenches = [] {
                                  bm_int_gemm_isa, t);
     benchmark::RegisterBenchmark(("BM_ConvFused/isa:" + t + "/64").c_str(),
                                  bm_conv_fused_isa, t);
+  }
+  return 0;
+}();
+
+// The act-quant primitive — the PPU's amax -> sq -> codes pass — per
+// tier: the kernel resolved under the cap, called once per row into
+// preallocated buffers, as the packaged GEMM and int_conv row loops call
+// it. 8-bit activations with 10-bit vector scales at V=16 (the 4/8/6/10
+// operating point); [128, 32] is a tiny_bert projection batch, [16, 256]
+// a tiny-MLP fc1 batch. items = elements quantized.
+void bm_quantize_activations_isa(benchmark::State& state, const std::string& tier,
+                                 std::int64_t rows, std::int64_t cols) {
+  const ScopedIsa cap(tier);
+  const kernels::ActQuantImpl& impl = kernels::resolve_act_quant();
+  const Tensor x = random_matrix(rows, cols, 41);
+  const QuantFormat fmt{8, true}, scale_fmt{10, false};
+  const VectorLayout layout{cols, 16, 0};
+  const std::int64_t vpr = layout.vectors_per_row();
+  std::vector<kernels::VecRange> vr;
+  for (std::int64_t v = 0; v < vpr; ++v) {
+    const auto [c0, c1] = layout.col_range(v);
+    vr.push_back({static_cast<std::int32_t>(c0), static_cast<std::int32_t>(c1 - c0)});
+  }
+  const float gamma =
+      scale_from_amax(amax_per_tensor(x), fmt) / static_cast<float>(scale_fmt.qmax());
+  const kernels::ActQuantParams p{{fmt.bits, fmt.is_signed},
+                                  {scale_fmt.bits, scale_fmt.is_signed}, gamma};
+  std::vector<std::int16_t> q(static_cast<std::size_t>(rows * cols));
+  std::vector<std::uint16_t> sq(static_cast<std::size_t>(rows * vpr));
+  for (auto _ : state) {
+    for (std::int64_t r = 0; r < rows; ++r) {
+      impl.fn(x.data() + r * cols, vr.data(), vpr, p, q.data() + r * cols, sq.data() + r * vpr);
+    }
+    benchmark::DoNotOptimize(q.data());
+    benchmark::DoNotOptimize(sq.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * rows * cols);
+}
+
+const int kQuantizeActivationsBenches = [] {
+  std::vector<std::string> tiers{"portable"};
+  if (isa::features().avx2) tiers.push_back("avx2");
+  if (isa::features().avx512_vnni) tiers.push_back("avx512_vnni");
+  for (const std::string& t : tiers) {
+    for (const auto& [rows, cols] : {std::pair<std::int64_t, std::int64_t>{128, 32}, {16, 256}}) {
+      benchmark::RegisterBenchmark(("BM_QuantizeActivations/isa:" + t + "/" +
+                                    std::to_string(rows) + "x" + std::to_string(cols))
+                                       .c_str(),
+                                   bm_quantize_activations_isa, t, rows, cols);
+    }
   }
   return 0;
 }();

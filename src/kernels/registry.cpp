@@ -18,6 +18,15 @@
 namespace vsq::kernels {
 namespace {
 
+// Resolution cache of a descriptor-free primitive (act-quant, fp-micro),
+// keyed by the VSQ_ISA value it was resolved under (the env is re-read so
+// tests can flip tiers between calls).
+template <class Impl>
+struct TierCache {
+  std::string key = "\x01unresolved";
+  const Impl* impl = nullptr;
+};
+
 // Implementation tables. std::deque keeps registered impls at stable
 // addresses (resolution hands out references that live as long as the
 // process). Built-ins install on first use; register_*_impl appends.
@@ -25,14 +34,13 @@ struct Tables {
   std::mutex mu;
   std::deque<IntPanelImpl> int_panel;
   std::deque<PanelAccImpl> panel_acc;
+  std::deque<ActQuantImpl> act_quant;
   std::deque<FpMicroImpl> fp_micro;
   // Chooser cache: (candidate set, shape class) -> winner. Synthetic-bench
   // ties are timed once per shape class, not per pack.
   std::map<std::string, const IntPanelImpl*> chooser;
-  // fp-micro resolution cache, keyed by the VSQ_ISA value it was resolved
-  // under (the env is re-read so tests can flip tiers between calls).
-  std::string fp_key = "\x01unresolved";
-  const FpMicroImpl* fp_cached = nullptr;
+  TierCache<ActQuantImpl> act_quant_cache;
+  TierCache<FpMicroImpl> fp_cache;
 };
 
 Tables& tables() {
@@ -40,6 +48,7 @@ Tables& tables() {
     auto* tt = new Tables();
     for (const IntPanelImpl& i : builtin_int_panel_impls()) tt->int_panel.push_back(i);
     for (const PanelAccImpl& i : builtin_panel_acc_impls()) tt->panel_acc.push_back(i);
+    for (const ActQuantImpl& i : builtin_act_quant_impls()) tt->act_quant.push_back(i);
     for (const FpMicroImpl& i : builtin_fp_micro_impls()) tt->fp_micro.push_back(i);
     return tt;
   }();
@@ -49,6 +58,31 @@ Tables& tables() {
 std::atomic<std::uint64_t> g_resolutions{0};
 
 void count_resolution() { g_resolutions.fetch_add(1, std::memory_order_relaxed); }
+
+// The highest-tier implementation under the current cap, served from
+// `cache` while VSQ_ISA is unchanged; only a cache miss counts as a
+// dispatch resolution. The portable tier always registers, so the result
+// is never null.
+template <class Impl>
+const Impl& resolve_by_tier(const std::deque<Impl>& impls, TierCache<Impl>& cache,
+                            std::mutex& mu) {
+  const isa::Tier cap = isa::effective_cap();  // throws on a bad VSQ_ISA
+  const char* env = std::getenv("VSQ_ISA");
+  const std::string key = env ? env : "";
+  std::lock_guard lock(mu);
+  if (cache.impl != nullptr && cache.key == key) return *cache.impl;
+  count_resolution();
+  const Impl* best = nullptr;
+  for (const Impl& impl : impls) {
+    if (static_cast<int>(impl.tier) > static_cast<int>(cap)) continue;
+    if (best == nullptr || static_cast<int>(impl.tier) > static_cast<int>(best->tier)) {
+      best = &impl;
+    }
+  }
+  cache.impl = best;
+  cache.key = key;
+  return *best;
+}
 
 bool impl_eligible(const IntPanelImpl& impl, const KernelDesc& desc, isa::Tier cap) {
   if (static_cast<int>(impl.tier) > static_cast<int>(cap)) return false;
@@ -239,24 +273,14 @@ const PanelAccImpl& resolve_panel_acc(const KernelDesc& desc) {
   return *best;  // the portable impl (max_full_bits = 64) always qualifies
 }
 
-const FpMicroImpl& resolve_fp_micro() {
-  const isa::Tier cap = isa::effective_cap();
-  const char* env = std::getenv("VSQ_ISA");
-  const std::string key = env ? env : "";
+const ActQuantImpl& resolve_act_quant() {
   Tables& t = tables();
-  std::lock_guard lock(t.mu);
-  if (t.fp_cached != nullptr && t.fp_key == key) return *t.fp_cached;
-  count_resolution();
-  const FpMicroImpl* best = nullptr;
-  for (const FpMicroImpl& impl : t.fp_micro) {
-    if (static_cast<int>(impl.tier) > static_cast<int>(cap)) continue;
-    if (best == nullptr || static_cast<int>(impl.tier) > static_cast<int>(best->tier)) {
-      best = &impl;
-    }
-  }
-  t.fp_cached = best;
-  t.fp_key = key;
-  return *best;
+  return resolve_by_tier(t.act_quant, t.act_quant_cache, t.mu);
+}
+
+const FpMicroImpl& resolve_fp_micro() {
+  Tables& t = tables();
+  return resolve_by_tier(t.fp_micro, t.fp_cache, t.mu);
 }
 
 const PanelAccImpl& portable_panel_acc() {
@@ -268,6 +292,15 @@ const PanelAccImpl& portable_panel_acc() {
   return t.panel_acc.front();
 }
 
+const ActQuantImpl& portable_act_quant() {
+  Tables& t = tables();
+  std::lock_guard lock(t.mu);
+  for (const ActQuantImpl& impl : t.act_quant) {
+    if (impl.tier == isa::Tier::kPortable) return impl;
+  }
+  return t.act_quant.front();
+}
+
 std::uint64_t dispatch_resolutions_total() {
   return g_resolutions.load(std::memory_order_relaxed);
 }
@@ -276,6 +309,15 @@ const IntPanelImpl* find_int_panel_impl(const char* name) {
   Tables& t = tables();
   std::lock_guard lock(t.mu);
   for (const IntPanelImpl& impl : t.int_panel) {
+    if (std::strcmp(impl.name, name) == 0) return &impl;
+  }
+  return nullptr;
+}
+
+const ActQuantImpl* find_act_quant_impl(const char* name) {
+  Tables& t = tables();
+  std::lock_guard lock(t.mu);
+  for (const ActQuantImpl& impl : t.act_quant) {
     if (std::strcmp(impl.name, name) == 0) return &impl;
   }
   return nullptr;
@@ -298,7 +340,7 @@ void register_fp_micro_impl(const FpMicroImpl& impl) {
   Tables& t = tables();
   std::lock_guard lock(t.mu);
   t.fp_micro.push_back(impl);
-  t.fp_cached = nullptr;
+  t.fp_cache.impl = nullptr;
 }
 
 }  // namespace vsq::kernels

@@ -7,27 +7,34 @@
 // the process), so steady-state serving performs zero dispatch lookups —
 // asserted by tests via dispatch_resolutions_total().
 //
-// Three primitive kinds cover the library today:
+// Four primitive kinds cover the library today:
 //   int-panel   the per-vector integer dot-product microkernel (the VS-Quant
 //               MAC array): one activation row x one packed weight panel ->
 //               kPanelCols dot products per vector
 //   panel-acc   the scale-multiply-accumulate reduction over a panel's
 //               vectors (the datapath's int64 accumulator)
+//   act-quant   the PPU's two-level activation quantizer over one row:
+//               per vector, runtime amax -> integer scale sq -> integer
+//               elements (Eq. 7g-7h)
 //   fp-micro    the MR x NR register-tile microkernel of the fp32 GEMM
 //
 // Implementations register with an ISA tier (kernels/isa.h) and an
 // eligibility predicate over the descriptor; resolution picks the highest
 // tier the CPU (and the VSQ_ISA cap) allows. Every tier computes EXACTLY
-// the same arithmetic — integer kernels are exact and fp kernels share one
-// accumulation order — so dispatch can change speed, never results. When
-// several SIMD implementations are eligible for a shape, a cached
-// micro-benchmark on synthetic operands of that shape class breaks the tie.
+// the same arithmetic — integer kernels are exact, fp kernels share one
+// accumulation order, and the act-quant tiers perform the portable loop's
+// IEEE operations lane for lane — so dispatch can change speed, never
+// results. When several int-panel implementations are eligible for a
+// shape, a cached micro-benchmark on synthetic operands of that shape
+// class breaks the tie; act-quant and fp-micro resolve by tier alone.
 //
 // New backends (sub-byte packing, bitplane kernels, other ISAs) plug in by
 // appending an implementation with register_*_impl; no dispatch site
 // changes.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 
 #include "kernels/isa.h"
@@ -186,6 +193,59 @@ struct PanelAccImpl {
   PanelAccFn fn = nullptr;
 };
 
+// ---- act-quant primitive ---------------------------------------------------
+
+// Eq. 2 for one element: x / scale rounded to nearest (half-even under the
+// default rounding mode) and clipped to [qmin, qmax]. The clip runs in
+// float BEFORE the conversion, so a value at or beyond the integer range
+// (1e19, +-inf) saturates instead of wrapping through INT64_MIN; NaN maps
+// to 0, as does every element under a scale <= 0. The canonical
+// definition: vsq::quantize_value (quant/format.h) forwards here, and
+// every act-quant tier reproduces it lane for lane. The final integer
+// clamp only matters for formats wider than float's 24-bit mantissa.
+inline std::int64_t quantize_code(float x, float scale, std::int64_t qmin, std::int64_t qmax) {
+  if (scale <= 0.0f) return 0;
+  const float t = x / scale;
+  if (std::isnan(t)) return 0;
+  const float c = std::clamp(t, static_cast<float>(qmin), static_cast<float>(qmax));
+  return std::clamp(static_cast<std::int64_t>(std::nearbyint(c)), qmin, qmax);
+}
+
+// Eq. 7g for one vector: its integer scale sq = round(s / gamma) clipped
+// to [0, sq_max], where s = amax / qmax is the vector's Eq. 1 scale (0 for
+// amax <= 0). gamma <= 0 (or NaN) gives sq = 0, and so does a NaN ratio.
+// One scalar definition that every act-quant tier calls per vector, so
+// only the element passes differ between tiers.
+inline std::uint16_t vector_scale_code(float amax, std::int64_t qmax, float gamma,
+                                       std::int64_t sq_max) {
+  if (!(gamma > 0.0f)) return 0;
+  const float s = amax <= 0.0f ? 0.0f : amax / static_cast<float>(qmax);
+  const float r = std::nearbyint(s / gamma);
+  return static_cast<std::uint16_t>(r > 0.0f ? std::min(r, static_cast<float>(sq_max)) : 0.0f);
+}
+
+// What an act-quant kernel quantizes with: the element and per-vector
+// scale formats of the layer's activation spec and its calibrated gamma.
+struct ActQuantParams {
+  QuantFormatLite fmt{8, true};
+  QuantFormatLite scale_fmt{8, false};
+  float gamma = 0.0f;
+};
+
+// One activation row through the two-level quantizer: for each of the
+// nvec vectors vr[v], amax = max |x[c]| (NaN elements skipped, as
+// std::max(amax, NaN) does), sq[v] = vector_scale_code(amax, ...), and
+// q[c] = quantize_code(x[c], sq[v] * gamma, qmin, qmax). Codes must fit
+// int16 (element formats up to 10 bits, checked by the callers).
+using ActQuantFn = void (*)(const float* x, const VecRange* vr, std::int64_t nvec,
+                            const ActQuantParams& p, std::int16_t* q, std::uint16_t* sq);
+
+struct ActQuantImpl {
+  const char* name;
+  isa::Tier tier;
+  ActQuantFn fn = nullptr;
+};
+
 // ---- fp-micro primitive ----------------------------------------------------
 
 // ab[MR*NR] = A_panel * B_panel over kc (tensor/gemm_kernel.h tiling).
@@ -207,9 +267,11 @@ struct FpMicroImpl {
 const IntPanelImpl& resolve_int_panel(const KernelDesc& desc);
 const PanelAccImpl& resolve_panel_acc(const KernelDesc& desc);
 
-// The fp microkernel has no per-layer descriptor (one shape class); its
-// resolution is cached per VSQ_ISA value and only a cache miss counts as
-// a dispatch resolution.
+// The act-quant and fp microkernels have no per-layer descriptor (every
+// tier handles every format and shape): the highest tier under the cap
+// wins, cached per VSQ_ISA value, and only a cache miss counts as a
+// dispatch resolution. No micro-benchmark runs.
+const ActQuantImpl& resolve_act_quant();
 const FpMicroImpl& resolve_fp_micro();
 
 // The always-present scalar scale-accumulate, for callers that must
@@ -217,16 +279,23 @@ const FpMicroImpl& resolve_fp_micro();
 // whose full_bits exceed the resolved impl's max_full_bits).
 const PanelAccImpl& portable_panel_acc();
 
+// The always-present scalar act-quant loop: the reference every tier is
+// tested against, and what the materialized quantize_activations_int runs
+// (it resolves nothing, so reference paths never depend on VSQ_ISA).
+const ActQuantImpl& portable_act_quant();
+
 // Process-wide count of dispatch resolutions (relaxed atomic). Serving
 // tests assert steady-state traffic leaves this flat: every resolution
 // happens at package-load time.
 std::uint64_t dispatch_resolutions_total();
 
-// Look up a registered int-panel implementation by name, nullptr when
-// absent (e.g. "avx512_vnni" on a CPU without it). Introspection for the
-// registry tests, which pin a specific kernel instead of riding the
-// tie-break; resolution paths never use this.
+// Look up a registered int-panel (act-quant) implementation by name,
+// nullptr when absent (e.g. "avx512_vnni" on a CPU without it).
+// Introspection for the registry tests, which pin a specific kernel
+// instead of riding the tie-break (or the tier cap); resolution paths
+// never use this.
 const IntPanelImpl* find_int_panel_impl(const char* name);
+const ActQuantImpl* find_act_quant_impl(const char* name);
 
 // Append an implementation (addresses of registered impls are stable).
 // Built-in tiers self-register on first resolution.

@@ -181,21 +181,47 @@ QuantizedLayerPackage export_conv(const Conv2d& conv) {
 
 namespace {
 
-// Shared body of the gemm-layer paths: quantize the batch, run the packed
-// (or per-call-packing, prepacked == nullptr) integer GEMM, apply bias.
+// Shared body of the gemm-layer paths (prepacked == nullptr packs per
+// call). A batch whose quantization is row-local runs the fused row loop:
+// each row is quantized by the panels' bound act-quant kernel right
+// before it streams through them, inside the row split. Anything else —
+// dynamic per-tensor amax, operands too wide for int32 dot products, an
+// invalid spec or mismatched operands — runs the materialized reference
+// (quantize_activations_int + int_gemm), which computes the same bits and
+// raises the errors.
 Tensor gemm_layer_exec(const QuantizedLayerPackage& layer, const Tensor& x2d,
                        int scale_product_bits, IntGemmStats* stats,
                        const detail::IntWeightPanels* prepacked) {
-  const QuantizedMatrix acts =
-      quantize_activations_int(x2d, layer.act_spec, layer.act_amax, layer.act_gamma);
-  Tensor y = detail::int_gemm_packed(acts, layer.weights, scale_product_bits, stats, prepacked);
-  if (!layer.bias.empty()) {
-    const std::int64_t rows = y.shape()[0], outs = y.shape()[1];
-    if (static_cast<std::int64_t>(layer.bias.size()) != outs) {
-      throw std::invalid_argument("run_packaged_layer: bias size mismatch");
-    }
-    add_row_bias(y.data(), rows, outs, layer.bias.data());
+  const QuantSpec& spec = layer.act_spec;
+  const QuantizedMatrix& w = layer.weights;
+  const std::int64_t outs = w.rows;
+  if (!layer.bias.empty() && static_cast<std::int64_t>(layer.bias.size()) != outs) {
+    throw std::invalid_argument("run_packaged_layer: bias size mismatch");
   }
+  const bool per_vector = spec.granularity == Granularity::kPerVector;
+  const bool row_local =
+      spec.enabled && spec.fmt.bits <= 10 &&
+      (per_vector ? spec.scale_dtype == ScaleDtype::kTwoLevelInt : !spec.dynamic);
+  if (row_local && x2d.shape().rank() == 2 && x2d.shape()[1] == w.cols()) {
+    const VectorLayout layout = spec.layout(w.cols());
+    if (layout.vector_size == w.layout.vector_size && layout.block_len() == w.layout.block_len() &&
+        detail::int32_dot_exact(spec.fmt, w.fmt, layout)) {
+      const std::int64_t rows = x2d.shape()[0];
+      Tensor y(Shape{rows, outs});
+      if (rows == 0 || outs == 0) return y;
+      const detail::FpRowFn input_row = [](const void* ctx, std::int64_t r, float*) {
+        const auto* x = static_cast<const Tensor*>(ctx);
+        return x->data() + r * x->shape()[1];
+      };
+      detail::run_quantized_rows(w, layout, spec, layer.act_amax, layer.act_gamma, rows,
+                                 input_row, &x2d, layer.bias, scale_product_bits, stats,
+                                 prepacked, y.data());
+      return y;
+    }
+  }
+  const QuantizedMatrix acts = quantize_activations_int(x2d, spec, layer.act_amax, layer.act_gamma);
+  Tensor y = detail::int_gemm_packed(acts, w, scale_product_bits, stats, prepacked);
+  if (!layer.bias.empty()) add_row_bias(y.data(), y.shape()[0], outs, layer.bias.data());
   return y;
 }
 
@@ -261,6 +287,10 @@ const char* IntLayerPrimitive::impl_name() const {
 
 const char* IntLayerPrimitive::acc_name() const {
   return panels_ ? panels_->acc_impl().name : "int64_ref";
+}
+
+const char* IntLayerPrimitive::quant_name() const {
+  return panels_ ? panels_->act_quant_impl().name : kernels::portable_act_quant().name;
 }
 
 const char* IntLayerPrimitive::isa_name() const {

@@ -1,7 +1,6 @@
 #include "quant/format.h"
 
-#include <algorithm>
-#include <cmath>
+#include "kernels/registry.h"
 
 namespace vsq {
 
@@ -15,13 +14,10 @@ float scale_from_amax(float amax, const QuantFormat& fmt) {
 }
 
 std::int64_t quantize_value(float x, float scale, const QuantFormat& fmt) {
-  if (scale <= 0.0f) return 0;
-  const float scaled = x / scale;
-  // llrint implements round-half-to-even in the default rounding mode; the
-  // paper's floor(x/s + 0.5) "round to nearest" differs only on exact .5
-  // ties, which calibrated scales essentially never produce.
-  const auto q = static_cast<std::int64_t>(std::llrint(scaled));
-  return std::clamp(q, fmt.qmin(), fmt.qmax());
+  // Round-half-to-even in the default rounding mode; the paper's
+  // floor(x/s + 0.5) "round to nearest" differs only on exact .5 ties,
+  // which calibrated scales essentially never produce.
+  return kernels::quantize_code(x, scale, fmt.qmin(), fmt.qmax());
 }
 
 float fake_quantize_value(float x, float scale, const QuantFormat& fmt) {

@@ -34,7 +34,10 @@ struct QuantFormat {
 // to zero" (see quantize_value).
 float scale_from_amax(float amax, const QuantFormat& fmt);
 
-// Eq. 2: round-to-nearest + clip. scale == 0 yields 0.
+// Eq. 2: round-to-nearest + clip. The clip happens in float before the
+// rounding, so huge values and +-inf saturate to qmax / qmin; NaN and any
+// value under a scale <= 0 yield 0 (kernels::quantize_code, the canonical
+// definition every activation-quantizer tier reproduces).
 std::int64_t quantize_value(float x, float scale, const QuantFormat& fmt);
 
 // Eq. 3: simulated-quantized value (quantize then rescale).

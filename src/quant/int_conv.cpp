@@ -1,15 +1,9 @@
 #include "quant/int_conv.h"
 
-#include <algorithm>
-#include <mutex>
-#include <optional>
 #include <stdexcept>
-#include <type_traits>
 
 #include "quant/int_kernel.h"
 #include "tensor/ops.h"
-#include "util/scratch.h"
-#include "util/thread_pool.h"
 
 namespace vsq {
 namespace {
@@ -121,89 +115,20 @@ Tensor int_conv_packed(const Tensor& x, const ConvGeom& g, const QuantizedMatrix
   Tensor out(Shape{n, oh, ow, k_out});
   if (rows == 0 || k_out == 0) return out;
 
-  ScratchArena& arena = ScratchArena::thread_local_arena();
-  ScratchRegion region(arena);
-  std::optional<IntWeightPanels> local_panels;
-  if (prepacked != nullptr && !prepacked->matches(wgt, act_layout, act_spec.fmt)) {
-    throw std::invalid_argument("int_conv: prepacked panels do not match the operands");
-  }
-  if (prepacked == nullptr) {
-    local_panels.emplace(wgt, act_layout, IntActAttrs::of(act_spec), arena);
-    if (stats) ++stats->panels_packed;
-  }
-  const IntWeightPanels& panels = prepacked ? *prepacked : *local_panels;
-
-  int full_bits = 0;
-  if (per_vector) full_bits += act_spec.scale_fmt.bits;
-  if (wgt.two_level) full_bits += wgt.two_level->scale_fmt.bits;
-
-  // Coarse activations: one static scale is both the quantizer and the
-  // outer de-scaling factor, exactly as quantize_activations_int builds
-  // them. Per-vector: the row's outer factor is the calibrated gamma.
-  const float coarse_scale = per_vector ? 0.0f : scale_from_amax(act_amax, act_spec.fmt);
-  const float aout = per_vector ? act_gamma : coarse_scale;
-  const std::int64_t vpr = act_layout.vectors_per_row();
-  float* dst = out.data();
-  const float* src = x.data();
-
-  // Per-chunk stat accumulation merged under a (cold) mutex.
-  std::mutex stats_mu;
-
-  const std::size_t grain = static_cast<std::size_t>(
-      std::max<std::int64_t>(1, 16384 / std::max<std::int64_t>(1, k_out * plen)));
-
-  const auto row_loop = [&]<bool kStats>(std::size_t rb, std::size_t re,
-                                         std::bool_constant<kStats>) {
-    ScratchArena& ta = ScratchArena::thread_local_arena();
-    ScratchRegion tr(ta);
-    // Per-thread tile workspace: one fp patch row, its quantized image and
-    // scales, and the panel dot-product buffer — a few KiB total,
-    // regardless of how large the virtual cols matrix would be.
-    auto* frow = ta.alloc_n<float>(static_cast<std::size_t>(plen));
-    auto* qrow = ta.alloc_n<std::int16_t>(static_cast<std::size_t>(plen));
-    auto* sqrow = ta.alloc_n<std::uint16_t>(static_cast<std::size_t>(vpr));
-    auto* dp = ta.alloc_n<std::int32_t>(static_cast<std::size_t>(vpr * kIntPanelCols));
-    std::uint8_t* u8row =
-        panels.needs_u8_row()
-            ? ta.alloc_n<std::uint8_t>(static_cast<std::size_t>(panels.u8_row_len()))
-            : nullptr;
-    IntRowStats t;
-    for (std::size_t r = rb; r < re; ++r) {
-      const auto ri = static_cast<std::int64_t>(r);
-      im2col_rows(src, g, ri, ri + 1, frow, plen);
-      if (per_vector) {
-        quantize_row_two_level(frow, act_layout, act_spec.fmt, act_spec.scale_fmt, act_gamma,
-                               qrow, sqrow);
-      } else {
-        for (std::int64_t c = 0; c < plen; ++c) {
-          qrow[c] = static_cast<std::int16_t>(quantize_value(frow[c], coarse_scale,
-                                                             act_spec.fmt));
-        }
-      }
-      float* drow = dst + ri * k_out;
-      panels.run_row<kStats>(qrow, per_vector ? sqrow : nullptr, aout, drow, full_bits,
-                             scale_product_bits, dp, u8row, t);
-      if (!bias.empty()) {
-        for (std::int64_t k = 0; k < k_out; ++k) drow[k] += bias[static_cast<std::size_t>(k)];
-      }
-    }
-    if constexpr (kStats) {
-      std::lock_guard lock(stats_mu);
-      t.merge_into(*stats);
-    }
+  // The virtual im2col matrix, one patch row at a time: the row loop
+  // quantizes each patch row as it is generated, so neither the fp cols
+  // matrix nor its quantized image ever exists at full size.
+  struct PatchRows {
+    const float* src;
+    const ConvGeom* g;
+  } const patches{x.data(), &g};
+  const FpRowFn patch_row = [](const void* ctx, std::int64_t r, float* scratch) {
+    const auto* p = static_cast<const PatchRows*>(ctx);
+    im2col_rows(p->src, *p->g, r, r + 1, scratch, p->g->patch_len());
+    return static_cast<const float*>(scratch);
   };
-
-  if (stats) {
-    parallel_for(
-        0, static_cast<std::size_t>(rows),
-        [&](std::size_t rb, std::size_t re) { row_loop(rb, re, std::bool_constant<true>{}); },
-        grain);
-  } else {
-    parallel_for(
-        0, static_cast<std::size_t>(rows),
-        [&](std::size_t rb, std::size_t re) { row_loop(rb, re, std::bool_constant<false>{}); },
-        grain);
-  }
+  run_quantized_rows(wgt, act_layout, act_spec, act_amax, act_gamma, rows, patch_row, &patches,
+                     bias, scale_product_bits, stats, prepacked, out.data());
   return out;
 }
 

@@ -1,10 +1,10 @@
 // Integer convolution through the per-vector datapath: the conv runs as
 // the same vector-MAC arithmetic as int_gemm, but the quantized activation
 // operand is synthesized patch-row by patch-row from the NHWC input — the
-// PPU pass (quantize_row_two_level) and the packed-weight row loop
-// (quant/int_kernel.h) stream over tiles of the virtual im2col matrix, so
-// neither the fp cols matrix nor its quantized image ever exists at full
-// size. Outputs are bit-identical to materializing im2col(x), quantizing
+// PPU pass (the act-quant kernel the weight panels bound) and the
+// packed-weight row loop (detail::run_quantized_rows, quant/int_kernel.h)
+// stream over rows of the virtual im2col matrix, so neither the fp cols
+// matrix nor its quantized image ever exists at full size. Outputs are bit-identical to materializing im2col(x), quantizing
 // it with quantize_activations_int and running int_gemm (the reference
 // below), and each output row depends only on its own image, so batched
 // execution is bit-identical to single-sample execution.

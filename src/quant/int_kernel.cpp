@@ -1,6 +1,12 @@
 #include "quant/int_kernel.h"
 
 #include <atomic>
+#include <mutex>
+#include <optional>
+#include <stdexcept>
+#include <type_traits>
+
+#include "util/thread_pool.h"
 
 namespace vsq::detail {
 namespace {
@@ -72,6 +78,7 @@ void IntWeightPanels::pack(const QuantizedMatrix& wgt, const VectorLayout& layou
   desc.op = kernels::OpKind::kPanelAcc;
   acc_impl_ = &kernels::resolve_panel_acc(desc);
   acc_fallback_ = kernels::portable_panel_acc().fn;
+  act_quant_impl_ = &kernels::resolve_act_quant();
 
   // Pack the weight matrix into PNR-column panels once, in the layout the
   // resolved implementation consumes (see kernels/registry.h's
@@ -278,6 +285,100 @@ void IntWeightPanels::pack(const QuantizedMatrix& wgt, const VectorLayout& layou
   pw_ = pw;
   psq_ = psq;
   ncomp_ = ncomp;
+}
+
+void run_quantized_rows(const QuantizedMatrix& wgt, const VectorLayout& layout,
+                        const QuantSpec& act_spec, float act_amax, float act_gamma,
+                        std::int64_t rows, FpRowFn row, const void* ctx,
+                        const std::vector<float>& bias, int scale_product_bits,
+                        IntGemmStats* stats, const IntWeightPanels* prepacked, float* dst) {
+  ScratchArena& arena = ScratchArena::thread_local_arena();
+  ScratchRegion region(arena);
+  std::optional<IntWeightPanels> local_panels;
+  if (prepacked != nullptr && !prepacked->matches(wgt, layout, act_spec.fmt)) {
+    throw std::invalid_argument("prepacked panels do not match the operands");
+  }
+  if (prepacked == nullptr) {
+    local_panels.emplace(wgt, layout, IntActAttrs::of(act_spec), arena);
+    if (stats) {
+      ++stats->panels_packed;
+      if (local_panels->materialized_sub_byte()) ++stats->panels_unpacked_materialized;
+    }
+  }
+  const IntWeightPanels& panels = prepacked ? *prepacked : *local_panels;
+  const std::int64_t cols = layout.cols, k_out = wgt.rows, vpr = panels.vpr();
+
+  const bool per_vector = act_spec.granularity == Granularity::kPerVector;
+  int full_bits = 0;
+  if (per_vector) full_bits += act_spec.scale_fmt.bits;
+  if (wgt.two_level) full_bits += wgt.two_level->scale_fmt.bits;
+  // Coarse activations: one static scale is both the quantizer and the
+  // outer de-scaling factor, exactly as quantize_activations_int builds
+  // them. Per-vector: the row's outer factor is the calibrated gamma.
+  const float coarse_scale = per_vector ? 0.0f : scale_from_amax(act_amax, act_spec.fmt);
+  const float aout = per_vector ? act_gamma : coarse_scale;
+  const kernels::ActQuantParams params{{act_spec.fmt.bits, act_spec.fmt.is_signed},
+                                       {act_spec.scale_fmt.bits, act_spec.scale_fmt.is_signed},
+                                       act_gamma};
+
+  // Per-chunk stat accumulation merged under a (cold) mutex.
+  std::mutex stats_mu;
+
+  const std::size_t grain = static_cast<std::size_t>(
+      std::max<std::int64_t>(1, 16384 / std::max<std::int64_t>(1, k_out * cols)));
+
+  // Instantiated with and without the datapath gating counters, as in
+  // int_gemm: identical arithmetic, no per-product branch when off.
+  const auto row_loop = [&]<bool kStats>(std::size_t rb, std::size_t re,
+                                         std::bool_constant<kStats>) {
+    ScratchArena& ta = ScratchArena::thread_local_arena();
+    ScratchRegion tr(ta);
+    // Per-thread row workspace: one fp row (when the source writes one),
+    // its quantized image and scales, and the panel dot-product buffer —
+    // a few KiB total, however many rows the call has.
+    auto* frow = ta.alloc_n<float>(static_cast<std::size_t>(cols));
+    auto* qrow = ta.alloc_n<std::int16_t>(static_cast<std::size_t>(cols));
+    auto* sqrow = ta.alloc_n<std::uint16_t>(static_cast<std::size_t>(vpr));
+    auto* dp = ta.alloc_n<std::int32_t>(static_cast<std::size_t>(vpr * kIntPanelCols));
+    std::uint8_t* u8row =
+        panels.needs_u8_row()
+            ? ta.alloc_n<std::uint8_t>(static_cast<std::size_t>(panels.u8_row_len()))
+            : nullptr;
+    IntRowStats t;
+    for (std::size_t r = rb; r < re; ++r) {
+      const auto ri = static_cast<std::int64_t>(r);
+      const float* x = row(ctx, ri, frow);
+      if (per_vector) {
+        panels.quantize_row(x, params, qrow, sqrow);
+      } else {
+        for (std::int64_t c = 0; c < cols; ++c) {
+          qrow[c] = static_cast<std::int16_t>(quantize_value(x[c], coarse_scale, act_spec.fmt));
+        }
+      }
+      float* drow = dst + ri * k_out;
+      panels.run_row<kStats>(qrow, per_vector ? sqrow : nullptr, aout, drow, full_bits,
+                             scale_product_bits, dp, u8row, t);
+      if (!bias.empty()) {
+        for (std::int64_t k = 0; k < k_out; ++k) drow[k] += bias[static_cast<std::size_t>(k)];
+      }
+    }
+    if constexpr (kStats) {
+      std::lock_guard lock(stats_mu);
+      t.merge_into(*stats);
+    }
+  };
+
+  if (stats) {
+    parallel_for(
+        0, static_cast<std::size_t>(rows),
+        [&](std::size_t rb, std::size_t re) { row_loop(rb, re, std::bool_constant<true>{}); },
+        grain);
+  } else {
+    parallel_for(
+        0, static_cast<std::size_t>(rows),
+        [&](std::size_t rb, std::size_t re) { row_loop(rb, re, std::bool_constant<false>{}); },
+        grain);
+  }
 }
 
 }  // namespace vsq::detail

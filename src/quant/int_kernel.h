@@ -1,16 +1,19 @@
 // Internal building blocks of the bit-accurate integer datapath, shared by
-// int_gemm (whole-matrix operands) and int_conv (patch rows streamed from
-// the tiled im2col generator): the packed weight panels with their
-// registry-resolved microkernels (kernels/registry.h), and the per-row
-// accumulate-and-scale loop. Everything here computes EXACTLY the
-// arithmetic of int_gemm's reference loop — callers differ only in where
-// the activation rows come from.
+// int_gemm (whole-matrix operands), the packaged GEMM layers and int_conv
+// (fp rows quantized on the fly; int_conv streams them from the tiled
+// im2col generator): the packed weight panels with their registry-resolved
+// microkernels (kernels/registry.h), the per-row accumulate-and-scale
+// loop, and the fused quantize-and-multiply row loop. Everything here
+// computes EXACTLY the arithmetic of quantize_activations_int followed by
+// int_gemm's reference loop — callers differ only in where the activation
+// rows come from.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <vector>
 
 #include "kernels/registry.h"
 #include "quant/int_gemm.h"
@@ -80,9 +83,10 @@ struct IntRowStats {
 // The integer weight operand packed for the row loop — the library's
 // resolved primitive in the oneDNN sense. Construction is the descriptor
 // step: it binds the weight operand, the vector geometry and the
-// activation attributes, asks the registry which panel and accumulate
-// implementations run (kernels/registry.h; one dispatch resolution each),
-// and packs the weights in the layout THAT implementation consumes:
+// activation attributes, asks the registry which panel, accumulate and
+// activation-quantize implementations run (kernels/registry.h; one
+// dispatch resolution each, the act-quant one cached per VSQ_ISA value),
+// and packs the weights in the layout THAT panel implementation consumes:
 //
 //   kPlain            [c][j] int16
 //   kPairInterleaved  [pair][j][2] int16 (avx2_madd; even vector lengths)
@@ -128,6 +132,7 @@ class IntWeightPanels {
   // (vsq_inspect --kernels) and the forced-tier tests.
   const kernels::IntPanelImpl& panel_impl() const { return *panel_impl_; }
   const kernels::PanelAccImpl& acc_impl() const { return *acc_impl_; }
+  const kernels::ActQuantImpl& act_quant_impl() const { return *act_quant_impl_; }
   kernels::PanelLayout layout() const { return panel_impl_->layout; }
 
   // Memory accounting for the footprint introspection (vsq_inspect
@@ -168,6 +173,15 @@ class IntWeightPanels {
                const QuantFormat& act_fmt) const {
     return wgt_ == &wgt && cols_ == layout.cols && vector_size_ == layout.vector_size &&
            block_len_ == layout.block_len() && act_fmt_ == act_fmt;
+  }
+
+  // The PPU pass over one fp activation row of cols() floats with the
+  // bound act-quant kernel: two-level per-vector codes into q (cols()
+  // int16) and the row's integer scales into sq (vpr() uint16), over this
+  // pack's vector geometry.
+  void quantize_row(const float* x, const kernels::ActQuantParams& p, std::int16_t* q,
+                    std::uint16_t* sq) const {
+    act_quant_impl_->fn(x, vr_, vpr_, p, q, sq);
   }
 
   // One activation row -> one output row of k_out floats. asq: the row's
@@ -278,11 +292,37 @@ class IntWeightPanels {
   std::int16_t u8_bias_ = 0;
   const kernels::IntPanelImpl* panel_impl_ = nullptr;
   const kernels::PanelAccImpl* acc_impl_ = nullptr;
+  const kernels::ActQuantImpl* act_quant_impl_ = nullptr;
   kernels::PanelAccFn acc_fallback_ = nullptr;  // portable, for stats/wide rows
   // Set only by the owning constructor. Arena blocks never move, so the
   // pointers above stay valid when the IntWeightPanels itself is moved.
   std::unique_ptr<ScratchArena> own_;
 };
+
+// Where run_quantized_rows reads its fp activation rows: row(ctx, r,
+// scratch) returns row r's cols floats — a pointer into the caller's
+// input, or `scratch` after writing the row there (int_conv's im2col patch
+// rows).
+using FpRowFn = const float* (*)(const void* ctx, std::int64_t r, float* scratch);
+
+// The fused PPU + vector-MAC row loop behind the packaged GEMM layers and
+// int_conv: each of `rows` fp rows is quantized into per-thread scratch —
+// two-level per-vector rows by the act-quant kernel the panels bound,
+// coarse rows with the one static scale — then streamed through the
+// panels, and `bias` (k_out values, or empty) is added; dst receives
+// [rows, k_out]. `prepacked` as in int_gemm_packed (nullptr packs here,
+// counted in stats). Rows split across the current pool, and each output
+// row depends only on its own input row, so any split gives the same
+// bits — those of quantize_activations_int + int_gemm over the
+// materialized rows. The caller guarantees what this loop cannot check
+// per row: an enabled spec of at most 10 bits whose quantization is
+// row-local (two-level per-vector, or static coarse), and int32-exact
+// operands (int32_dot_exact).
+void run_quantized_rows(const QuantizedMatrix& wgt, const VectorLayout& layout,
+                        const QuantSpec& act_spec, float act_amax, float act_gamma,
+                        std::int64_t rows, FpRowFn row, const void* ctx,
+                        const std::vector<float>& bias, int scale_product_bits,
+                        IntGemmStats* stats, const IntWeightPanels* prepacked, float* dst);
 
 // Process-wide count of IntWeightPanels constructions (relaxed atomic).
 // The serving tests assert that steady-state traffic leaves this flat:

@@ -1,8 +1,8 @@
 #include "quant/quantized_tensor.h"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
+
+#include "kernels/registry.h"
 
 namespace vsq {
 
@@ -29,28 +29,6 @@ QuantizedMatrix quantize_weights_int(const Tensor& w2d, const QuantSpec& spec) {
   return out;
 }
 
-void quantize_row_two_level(const float* xrow, const VectorLayout& layout,
-                            const QuantFormat& fmt, const QuantFormat& scale_fmt, float gamma,
-                            std::int16_t* qrow, std::uint16_t* sqrow) {
-  const std::int64_t vpr = layout.vectors_per_row();
-  const auto scale_qmax = static_cast<float>(scale_fmt.qmax());
-  for (std::int64_t v = 0; v < vpr; ++v) {
-    const auto [c0, c1] = layout.col_range(v);
-    float amax = 0.0f;
-    for (std::int64_t c = c0; c < c1; ++c) amax = std::max(amax, std::abs(xrow[c]));
-    std::uint16_t sq = 0;
-    if (gamma > 0.0f) {
-      const float s = scale_from_amax(amax, fmt);
-      sq = static_cast<std::uint16_t>(std::clamp(std::nearbyintf(s / gamma), 0.0f, scale_qmax));
-    }
-    sqrow[v] = sq;
-    const float eff = static_cast<float>(sq) * gamma;  // Eq. 7h
-    for (std::int64_t c = c0; c < c1; ++c) {
-      qrow[c] = static_cast<std::int16_t>(quantize_value(xrow[c], eff, fmt));
-    }
-  }
-}
-
 QuantizedMatrix quantize_activations_int(const Tensor& x2d, const QuantSpec& spec,
                                          float static_amax, float gamma) {
   if (!spec.enabled) throw std::invalid_argument("quantize_activations_int: spec disabled");
@@ -72,8 +50,7 @@ QuantizedMatrix quantize_activations_int(const Tensor& x2d, const QuantSpec& spe
     // per vector (amax -> sq -> integer elements): arithmetic is
     // element-for-element identical to amax_per_vector + to_scale_set +
     // quantize_to_int, without the per-element scale lookups and the
-    // intermediate scale-set allocations — this is the per-request hot
-    // path of the serving engine.
+    // intermediate scale-set allocations.
     TwoLevelScales tl;
     tl.scale_fmt = spec.scale_fmt;
     tl.coarse_axis = CoarseAxis::kPerTensor;
@@ -84,11 +61,20 @@ QuantizedMatrix quantize_activations_int(const Tensor& x2d, const QuantSpec& spe
     const std::int64_t vpr = out.layout.vectors_per_row();
     tl.sq.assign(static_cast<std::size_t>(rows * vpr), 0);
     out.q.assign(static_cast<std::size_t>(rows * cols), 0);
+    std::vector<kernels::VecRange> vr(static_cast<std::size_t>(vpr));
+    for (std::int64_t v = 0; v < vpr; ++v) {
+      const auto [c0, c1] = out.layout.col_range(v);
+      vr[static_cast<std::size_t>(v)] = {static_cast<std::int32_t>(c0),
+                                         static_cast<std::int32_t>(c1 - c0)};
+    }
+    const kernels::ActQuantParams params{{spec.fmt.bits, spec.fmt.is_signed},
+                                         {spec.scale_fmt.bits, spec.scale_fmt.is_signed},
+                                         gamma};
+    const kernels::ActQuantFn quantize_row = kernels::portable_act_quant().fn;
     const float* src = x2d.data();
     for (std::int64_t r = 0; r < rows; ++r) {
-      quantize_row_two_level(src + r * cols, out.layout, spec.fmt, spec.scale_fmt, gamma,
-                             out.q.data() + r * cols,
-                             tl.sq.data() + static_cast<std::size_t>(r * vpr));
+      quantize_row(src + r * cols, vr.data(), vpr, params, out.q.data() + r * cols,
+                   tl.sq.data() + static_cast<std::size_t>(r * vpr));
     }
     out.two_level = std::move(tl);
   } else {

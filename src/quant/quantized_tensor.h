@@ -58,18 +58,16 @@ QuantizedMatrix quantize_weights_int(const Tensor& w2d, const QuantSpec& spec);
 // Build the integer operand for activations at inference time, mirroring
 // the PPU: per-tensor static amax for the coarse baseline, or dynamic
 // per-vector sq with the calibrated gamma for two-level VS-Quant.
+//
+// The two-level pass (amax -> sq -> integer elements, Eq. 7g-7h) is the
+// act-quant primitive, one of the kernel registry's four primitive kinds
+// (kernels/registry.h: int-panel, panel-acc, act-quant, fp-micro). This
+// materialized form always runs its portable reference loop. The serving
+// paths — packaged GEMM layers and int_conv's streamed patch rows — quantize
+// each row with the SIMD tier their weight panels bound at load
+// (detail::IntWeightPanels::quantize_row); every tier yields the same
+// codes and scales, so the two agree bit for bit.
 QuantizedMatrix quantize_activations_int(const Tensor& x2d, const QuantSpec& spec,
                                          float static_amax, float gamma);
-
-// The PPU's fused per-row pass for dynamic two-level per-vector
-// activations (amax -> sq -> integer elements, Eq. 7g-7h): one activation
-// row of layout.cols floats into qrow int16 elements and sqrow
-// (vectors_per_row) integer scales. quantize_activations_int runs this per
-// matrix row and int_conv per streamed im2col patch row — sharing the one
-// definition is what makes the tiled conv datapath bit-identical to the
-// materialized path.
-void quantize_row_two_level(const float* xrow, const VectorLayout& layout,
-                            const QuantFormat& fmt, const QuantFormat& scale_fmt, float gamma,
-                            std::int16_t* qrow, std::uint16_t* sqrow);
 
 }  // namespace vsq

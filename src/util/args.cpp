@@ -46,6 +46,22 @@ bool Args::get_flag(const std::string& name) const {
   return kv_.count(name) > 0;
 }
 
+std::optional<Args> parse_args(const char* tool, int argc, char** argv) {
+  try {
+    return Args(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << tool << ": " << e.what() << "\n";
+    return std::nullopt;
+  }
+}
+
+bool reject_unknown_flags(const char* tool, const Args& args) {
+  const std::set<std::string> unknown = args.unused();
+  if (unknown.empty()) return true;
+  std::cerr << tool << ": unknown flag --" << *unknown.begin() << "\n";
+  return false;
+}
+
 bool apply_threads_flag(const Args& args) {
   // Pin the pool only when --threads was actually passed, so the
   // VSQ_THREADS environment fallback keeps working otherwise.

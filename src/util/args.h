@@ -4,6 +4,7 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -26,6 +27,15 @@ class Args {
   std::map<std::string, std::string> kv_;
   mutable std::set<std::string> used_;
 };
+
+// The usage gates every CLI tool runs. parse_args reads argv; a malformed
+// argument (a positional one, say) prints "<tool>: <reason>" to stderr
+// and returns nullopt. reject_unknown_flags, run once the tool has read
+// every flag it knows, prints "<tool>: unknown flag --<name>" for the
+// first flag nothing read and returns false. Either way the tool exits 2,
+// the usage-error status, before doing any work.
+std::optional<Args> parse_args(const char* tool, int argc, char** argv);
+bool reject_unknown_flags(const char* tool, const Args& args);
 
 // Shared --threads=N handling for every CLI tool: pins the global thread
 // pool when the flag was passed (0 = hardware concurrency), otherwise

@@ -1,12 +1,16 @@
 // Kernel dispatch registry tests (src/kernels/): ISA probe coherence, the
 // VSQ_ISA cap (including rejection of unknown values), bit-identity of
 // every registered tier across the gemm/conv/runner surface — odd shapes,
-// tail vectors, batched vs sequential — the VNNI int8 kernel pinned
-// directly (exercised-or-skip), and the resolution-time binding contract:
-// primitives resolve at load, never on the serving path.
+// tail vectors, batched vs sequential — the VNNI int8 kernel and every
+// act-quant tier pinned directly (exercised-or-skip), and the
+// resolution-time binding contract: primitives resolve at load, never on
+// the serving path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -302,6 +306,208 @@ TEST(ForcedTier, ResolutionBindsAtLoadNotAtForward) {
     return runner->forward(x);
   }();
   expect_bitwise_equal(y_capped, y_uncapped, "load-time binding");
+  // The activation quantizer binds at load as well: the capped runner kept
+  // the portable loop, while a runner built without a cap binds the top
+  // tier the CPU runs.
+  for (const auto& [name, prim] : runner->primitives()) {
+    EXPECT_STREQ(prim.quant_name(), "portable") << name;
+  }
+  EnvIsa native(nullptr);
+  const QuantizedModelRunner uncapped(pkg);
+  for (const auto& [name, prim] : uncapped.primitives()) {
+    EXPECT_STREQ(prim.quant_name(), kernels::resolve_act_quant().name) << name;
+  }
+}
+
+// ---- The act-quant kernel: every tier equals the portable reference ----
+//
+// Each registered implementation the CPU can run is pinned by name and fed
+// the same rows as the portable loop; codes and scales must match exactly.
+
+std::vector<const kernels::ActQuantImpl*> act_quant_tiers() {
+  std::vector<const kernels::ActQuantImpl*> tiers;
+  for (const char* name : {"portable", "avx2", "avx512"}) {
+    if (const kernels::ActQuantImpl* impl = kernels::find_act_quant_impl(name)) {
+      tiers.push_back(impl);
+    }
+  }
+  return tiers;
+}
+
+std::vector<kernels::VecRange> vec_ranges(const VectorLayout& layout) {
+  std::vector<kernels::VecRange> vr;
+  for (std::int64_t v = 0; v < layout.vectors_per_row(); ++v) {
+    const auto [c0, c1] = layout.col_range(v);
+    vr.push_back({static_cast<std::int32_t>(c0), static_cast<std::int32_t>(c1 - c0)});
+  }
+  return vr;
+}
+
+// Runs row x through every tier; returns how many SIMD tiers were compared.
+int expect_act_quant_tiers_match(const std::vector<float>& x, const VectorLayout& layout,
+                                 const kernels::ActQuantParams& p, const std::string& what) {
+  const std::vector<kernels::VecRange> vr = vec_ranges(layout);
+  const auto nvec = static_cast<std::int64_t>(vr.size());
+  const std::size_t cols = x.size();
+  std::vector<std::int16_t> q_ref(cols, -1);
+  std::vector<std::uint16_t> sq_ref(vr.size(), 0xFFFF);
+  kernels::portable_act_quant().fn(x.data(), vr.data(), nvec, p, q_ref.data(), sq_ref.data());
+  int compared = 0;
+  for (const kernels::ActQuantImpl* impl : act_quant_tiers()) {
+    if (impl->tier == isa::Tier::kPortable) continue;
+    std::vector<std::int16_t> q(cols, -1);
+    std::vector<std::uint16_t> sq(vr.size(), 0xFFFF);
+    impl->fn(x.data(), vr.data(), nvec, p, q.data(), sq.data());
+    for (std::size_t v = 0; v < vr.size(); ++v) {
+      EXPECT_EQ(sq[v], sq_ref[v]) << impl->name << " " << what << " vector " << v;
+    }
+    for (std::size_t c = 0; c < cols; ++c) {
+      EXPECT_EQ(q[c], q_ref[c]) << impl->name << " " << what << " col " << c << " x=" << x[c];
+    }
+    ++compared;
+  }
+  return compared;
+}
+
+kernels::ActQuantParams act_params(int bits, bool is_signed, int scale_bits, bool scale_signed,
+                                   float gamma) {
+  return {{bits, is_signed}, {scale_bits, scale_signed}, gamma};
+}
+
+TEST(ActQuant, PortableTierMatchesTheMaterializedQuantizer) {
+  // The portable tier IS quantize_activations_int's per-row pass: amax ->
+  // vector_scale_code -> quantize_code, element by element.
+  Rng rng(62);
+  Tensor a(Shape{3, 40});
+  for (auto& v : a.span()) v = static_cast<float>(rng.normal());
+  const QuantSpec spec = act_spec(8, 6, 16);
+  const float gamma = 0.0021f;
+  const QuantizedMatrix m = quantize_activations_int(a, spec, 0.0f, gamma);
+  const std::vector<kernels::VecRange> vr = vec_ranges(m.layout);
+  for (std::int64_t r = 0; r < 3; ++r) {
+    for (std::size_t v = 0; v < vr.size(); ++v) {
+      float amax = 0.0f;
+      for (std::int32_t c = 0; c < vr[v].len; ++c) {
+        amax = std::max(amax, std::abs(a.at2(r, vr[v].c0 + c)));
+      }
+      const std::uint16_t sq = kernels::vector_scale_code(amax, 127, gamma, 63);
+      EXPECT_EQ(m.int_scale(r, static_cast<std::int64_t>(v)), sq);
+      for (std::int32_t c = 0; c < vr[v].len; ++c) {
+        EXPECT_EQ(m.at(r, vr[v].c0 + c),
+                  quantize_value(a.at2(r, vr[v].c0 + c), static_cast<float>(sq) * gamma,
+                                 spec.fmt));
+      }
+    }
+  }
+}
+
+TEST(ActQuant, EveryTierMatchesPortableOnEdgeInputs) {
+  if (act_quant_tiers().size() < 2) GTEST_SKIP() << "no SIMD act-quant tier on this CPU";
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float kNaN = std::numeric_limits<float>::quiet_NaN();
+  const float kDenorm = std::numeric_limits<float>::denorm_min();
+  int compared = 0;
+  const auto check = [&](const std::vector<float>& x, const VectorLayout& layout,
+                         const kernels::ActQuantParams& p, const std::string& what) {
+    compared += expect_act_quant_tiers_match(x, layout, p, what);
+  };
+  const auto one_vector = [](std::int64_t cols, int v) { return VectorLayout{cols, v, 0}; };
+
+  // Exact .5 ties after scaling: amax 79.375 with gamma 2^-6 gives
+  // s = 0.625 and sq = 40, so eff = 0.625 and every x = (k + 0.5) * 0.625
+  // lands on a tie (half-even: 2.5 -> 2, 3.5 -> 4, -0.5 -> -0).
+  std::vector<float> ties{79.375f};
+  for (int k = -8; k < 7; ++k) ties.push_back((static_cast<float>(k) + 0.5f) * 0.625f);
+  check(ties, one_vector(16, 16), act_params(8, true, 6, false, 0.015625f), "ties");
+  {
+    std::vector<std::int16_t> q(16);
+    std::uint16_t sq = 0;
+    const std::vector<kernels::VecRange> vr = vec_ranges(one_vector(16, 16));
+    kernels::portable_act_quant().fn(ties.data(), vr.data(), 1,
+                                     act_params(8, true, 6, false, 0.015625f), q.data(), &sq);
+    EXPECT_EQ(sq, 40);
+    EXPECT_EQ(q[1 + 8 + 2], 2);  // 2.5 -> 2
+    EXPECT_EQ(q[1 + 8 + 3], 4);  // 3.5 -> 4
+  }
+
+  // Signed zeros, denormals, infinities and NaN, in the amax position and
+  // beside it, under signed and unsigned formats.
+  const std::vector<float> specials{0.0f,  -0.0f,    kDenorm, -kDenorm, 1e-40f, -3e-39f,
+                                    kInf,  -kInf,    kNaN,    -kNaN,    1.5f,   -2.25f,
+                                    1e19f, -1e19f,   3e9f,    -7e9f,    0.75f};
+  for (const bool sgn : {true, false}) {
+    check(specials, one_vector(17, 17), act_params(8, sgn, 6, false, 0.01f), "specials");
+    check(specials, one_vector(17, 8), act_params(4, sgn, 4, false, 0.3f), "specials/v8");
+  }
+  // NaN-only, NaN beside zeros, and denormal-only vectors.
+  check(std::vector<float>(16, kNaN), one_vector(16, 16), act_params(8, true, 6, false, 0.01f),
+        "all-nan");
+  check({kNaN, 0.0f, -0.0f, kNaN, 0.0f}, one_vector(5, 5), act_params(6, true, 5, false, 0.1f),
+        "nan+zeros");
+  check(std::vector<float>(9, kDenorm), one_vector(9, 9), act_params(8, true, 8, false, 1e-44f),
+        "denormals");
+
+  // |x / scale| >= 2^31 and >= 2^63: a gamma far below the row's scale
+  // pins sq at its maximum, so the element ratios explode.
+  std::vector<float> wide(24);
+  for (std::size_t c = 0; c < wide.size(); ++c) {
+    wide[c] = (c % 2 == 0 ? 1.0f : -1.0f) * static_cast<float>(c + 1) * 0.37f;
+  }
+  check(wide, one_vector(24, 16), act_params(8, true, 6, false, 5.3e-12f), ">=2^31");
+  check(wide, one_vector(24, 16), act_params(8, true, 6, false, 1e-30f), ">=2^63");
+  check(wide, one_vector(24, 16), act_params(10, false, 9, false, 1e-30f), ">=2^63/u10");
+
+  // All-zero vectors, and gamma = 0 (and negative) on a live row.
+  check(std::vector<float>(33, 0.0f), one_vector(33, 16), act_params(8, true, 6, false, 0.01f),
+        "zeros");
+  check(wide, one_vector(24, 16), act_params(8, true, 6, false, 0.0f), "gamma=0");
+  check(wide, one_vector(24, 16), act_params(8, true, 6, false, -1.0f), "gamma<0");
+  EXPECT_GT(compared, 0);
+}
+
+TEST(ActQuant, EveryTierMatchesPortableOnSeededRandomRows) {
+  if (act_quant_tiers().size() < 2) GTEST_SKIP() << "no SIMD act-quant tier on this CPU";
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float specials[] = {0.0f,  -0.0f, std::numeric_limits<float>::denorm_min(),
+                            kInf,  -kInf, std::numeric_limits<float>::quiet_NaN(),
+                            1e19f, -3e9f};
+  Rng rng(20261019);
+  int compared = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    // Vector lengths 1-33; a channel block below cols makes ragged vectors
+    // mid-row, and a cols that V does not divide a ragged last vector.
+    const int v = 1 + static_cast<int>(rng.uniform_u64(33));
+    const std::int64_t blocks = 1 + static_cast<std::int64_t>(rng.uniform_u64(3));
+    const std::int64_t block = 1 + static_cast<std::int64_t>(rng.uniform_u64(70));
+    const VectorLayout layout{blocks * block, v, blocks > 1 ? block : 0};
+    const int bits = 2 + static_cast<int>(rng.uniform_u64(9));        // 2..10
+    const int scale_bits = 2 + static_cast<int>(rng.uniform_u64(8));  // 2..9
+    const bool sgn = rng.bernoulli(0.5);
+    const kernels::QuantFormatLite fmt{bits, sgn};
+    const double mag = std::exp(rng.uniform(-30.0, 30.0));
+    std::vector<float> x(static_cast<std::size_t>(layout.cols));
+    float amax = 0.0f;
+    for (float& e : x) {
+      e = static_cast<float>(rng.normal() * mag);
+      if (rng.bernoulli(0.02)) e = specials[rng.uniform_u64(std::size(specials))];
+      if (!std::isnan(e)) amax = std::max(amax, std::abs(e));
+    }
+    if (rng.bernoulli(0.05)) {
+      std::fill(x.begin(), x.begin() + std::min<std::int64_t>(v, layout.cols), 0.0f);
+    }
+    // Calibrated-style gamma (the row's amax spread over the scale range),
+    // perturbed across three decades either way; sometimes 0 or denormal.
+    float gamma = amax / static_cast<float>(fmt.qmax()) /
+                  static_cast<float>(kernels::QuantFormatLite{scale_bits, false}.qmax()) *
+                  static_cast<float>(std::exp(rng.uniform(-7.0, 7.0)));
+    if (rng.bernoulli(0.03)) gamma = 0.0f;
+    if (rng.bernoulli(0.02)) gamma = std::numeric_limits<float>::denorm_min();
+    compared += expect_act_quant_tiers_match(
+        x, layout, act_params(bits, sgn, scale_bits, rng.bernoulli(0.1), gamma),
+        "trial " + std::to_string(trial));
+    if (::testing::Test::HasFailure()) break;
+  }
+  EXPECT_GT(compared, 0);
 }
 
 // ---- The fp32 GEMM microkernel rides the same registry ----

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "quant/amax.h"
 #include "quant/scale.h"
 #include "tensor/ops.h"
@@ -67,6 +69,26 @@ TEST(QuantizeValue, ZeroScaleYieldsZero) {
   const QuantFormat f{8, true};
   EXPECT_EQ(quantize_value(5.0f, 0.0f, f), 0);
   EXPECT_FLOAT_EQ(fake_quantize_value(5.0f, 0.0f, f), 0.0f);
+}
+
+TEST(QuantizeValue, HugeValuesSaturateAndNaNIsZero) {
+  // The clip happens in float before the rounding: a scaled value at or
+  // beyond +-2^63 (or an infinity) must saturate to its own side's limit,
+  // not wrap through INT64_MIN to qmin, and NaN must not become a code.
+  const QuantFormat s8{8, true};
+  EXPECT_EQ(quantize_value(1e19f, 1.0f, s8), 127);
+  EXPECT_EQ(quantize_value(-1e19f, 1.0f, s8), -127);
+  EXPECT_EQ(quantize_value(std::numeric_limits<float>::infinity(), 1.0f, s8), 127);
+  EXPECT_EQ(quantize_value(-std::numeric_limits<float>::infinity(), 1.0f, s8), -127);
+  EXPECT_EQ(quantize_value(3e9f, 1.0f, s8), 127);  // beyond int32, within int64
+  EXPECT_EQ(quantize_value(std::numeric_limits<float>::quiet_NaN(), 1.0f, s8), 0);
+  EXPECT_EQ(quantize_value(1.0f, std::numeric_limits<float>::quiet_NaN(), s8), 0);
+  const QuantFormat u4{4, false};
+  EXPECT_EQ(quantize_value(1e19f, 1.0f, u4), 15);
+  EXPECT_EQ(quantize_value(-std::numeric_limits<float>::infinity(), 1.0f, u4), 0);
+  // Served (integer) and simulated (fake-quant) inference agree: both
+  // saturate a huge activation to qmax.
+  EXPECT_FLOAT_EQ(fake_quantize_value(1e19f, 0.5f, s8), 63.5f);
 }
 
 TEST(QuantizeValue, UnsignedClipsNegativesToZero) {

@@ -7,12 +7,17 @@
 //
 // With --kernels, additionally resolve the package against the kernel
 // dispatch registry (as a deployment would at load time) and print the
-// implementation each layer's primitive bound to — op, ISA tier, panel and
-// accumulator kernel names — under the current CPU and VSQ_ISA cap.
+// implementation each layer's primitive bound to — op, ISA tier, panel,
+// accumulator and activation-quantizer kernel names — under the current
+// CPU and VSQ_ISA cap.
 //
 //   vsq_inspect --package=artifacts/resnet_int.vsqa [--threads=N] [--kernels]
+//
+// An unknown flag (--kernles) or a positional argument (the package path
+// without --package=) is a usage error: exit 2, nothing printed to stdout.
 #include <iostream>
 #include <map>
+#include <optional>
 
 #include "kernels/isa.h"
 #include "quant/export.h"
@@ -21,10 +26,13 @@
 
 int main(int argc, char** argv) {
   using namespace vsq;
-  const Args args(argc, argv);
+  const std::optional<Args> parsed = parse_args("vsq_inspect", argc, argv);
+  if (!parsed) return 2;
+  const Args& args = *parsed;
   if (!apply_threads_flag(args)) return 1;
   const std::string path = args.get_str("package", "artifacts/resnet_int.vsqa");
   const bool show_kernels = args.get_flag("kernels");
+  if (!reject_unknown_flags("vsq_inspect", args)) return 2;
 
   const QuantizedModelPackage pkg = QuantizedModelPackage::load(path);
   std::cout << "package " << path << ": " << pkg.layers.size() << " layers";
@@ -124,8 +132,8 @@ int main(int argc, char** argv) {
   if (show_kernels) {
     std::cout << "\ncpu: " << isa::summary() << "\n";
     const QuantizedModelRunner runner(pkg);
-    Table kt({"Layer", "Op", "ISA", "Panel kernel", "Accumulator", "Layout", "Resident KiB",
-              "B/wt", "vs int16"});
+    Table kt({"Layer", "Op", "ISA", "Panel kernel", "Accumulator", "Quantizer", "Layout",
+              "Resident KiB", "B/wt", "vs int16"});
     std::int64_t total_resident = 0, total_baseline = 0;
     for (const auto& [name, prim] : runner.primitives()) {
       const std::int64_t res = prim.resident_bytes(), base = prim.baseline_bytes();
@@ -134,7 +142,8 @@ int main(int argc, char** argv) {
       const auto& w = prim.layer().weights;
       const double n_w = static_cast<double>(w.rows) * static_cast<double>(w.cols());
       kt.add_row({name, prim.op_name(), prim.isa_name(), prim.impl_name(), prim.acc_name(),
-                  prim.layout_name(), Table::num(static_cast<double>(res) / 1024.0, 1),
+                  prim.quant_name(), prim.layout_name(),
+                  Table::num(static_cast<double>(res) / 1024.0, 1),
                   res > 0 ? Table::num(static_cast<double>(res) / n_w, 2) : "-",
                   base > 0 ? Table::num(static_cast<double>(res) / static_cast<double>(base), 2) +
                                  "x"

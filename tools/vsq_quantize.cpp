@@ -8,7 +8,8 @@
 //
 // --threads=N pins the global thread pool (0 = hardware concurrency; the
 // VSQ_THREADS environment variable is the fallback) so benchmark runs are
-// reproducible on shared machines.
+// reproducible on shared machines. An unknown flag or a positional
+// argument is a usage error (exit 2, nothing exported).
 //
 // --model=tiny is a randomly-initialized 2-layer MLP and --model=tiny_conv
 // a randomly-initialized tiny residual CNN; neither needs a trained
@@ -19,6 +20,7 @@
 // --model=resnet also attaches the CNN forward program, so the trained
 // ResNetV package serves end-to-end.
 #include <iostream>
+#include <optional>
 
 #include "exp/ptq.h"
 #include "hw/mac_config.h"
@@ -28,7 +30,9 @@
 
 int main(int argc, char** argv) {
   using namespace vsq;
-  const Args args(argc, argv);
+  const std::optional<Args> parsed = parse_args("vsq_quantize", argc, argv);
+  if (!parsed) return 2;
+  const Args& args = *parsed;
   if (!apply_threads_flag(args)) return 1;
   const std::string which = args.get_str("model", "resnet");
   MacConfig mac = MacConfig::parse(args.get_str("config", "4/8/6/10"));
@@ -37,6 +41,8 @@ int main(int argc, char** argv) {
   // Resolved lazily so --model=tiny with an explicit --out never touches
   // the artifacts directory.
   std::string out = args.get_str("out", "");
+  // A mistyped flag (--confg) must not export a package at the default.
+  if (!reject_unknown_flags("vsq_quantize", args)) return 2;
 
   QuantizedModelPackage pkg;
   if (which == "tiny") {

@@ -20,12 +20,12 @@
 // answers kShed instead of stalling the connection. The startup banner
 // "vsq_serve_net listening on HOST:PORT" is printed (and flushed) once
 // the socket is live, so scripts can scrape the ephemeral port. An
-// unknown flag is a usage error (exit 2).
+// unknown flag or a positional argument is a usage error (exit 2).
 #include <atomic>
 #include <csignal>
 #include <cstring>
 #include <iostream>
-#include <set>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -44,7 +44,9 @@ void handle_signal(int) { g_stop.store(true); }
 
 int main(int argc, char** argv) {
   using namespace vsq;
-  const Args args(argc, argv);
+  const std::optional<Args> parsed = parse_args("vsq_serve_net", argc, argv);
+  if (!parsed) return 2;
+  const Args& args = *parsed;
   if (!apply_threads_flag(args)) return 2;
   const std::string packages = args.get_str("packages", "");
   const std::string builtin = args.get_str("builtin", packages.empty() ? "tiny" : "");
@@ -62,10 +64,7 @@ int main(int argc, char** argv) {
   net_cfg.host = args.get_str("host", "127.0.0.1");
   net_cfg.port = args.get_int("port", 0);
   net_cfg.max_connections = std::max(1, args.get_int("max-connections", 64));
-  if (const std::set<std::string> unknown = args.unused(); !unknown.empty()) {
-    std::cerr << "vsq_serve_net: unknown flag --" << *unknown.begin() << "\n";
-    return 2;
-  }
+  if (!reject_unknown_flags("vsq_serve_net", args)) return 2;
 
   std::vector<ServingModelSpec> models;
   try {

@@ -75,8 +75,8 @@
 // each distinct input counts once — and the audit line.
 //
 // Exit status: 0 clean, 1 on any bit mismatch (or a model that failed to
-// build/load), 2 on a usage error (an unknown flag included), so CI can
-// gate on it — ctest
+// build/load), 2 on a usage error (an unknown flag or a positional
+// argument included), so CI can gate on it — ctest
 // serve_smoke, serve_conv_smoke and serve_bert_smoke run the one-model
 // closed loop above, soak_smoke a short deterministic-seed pass over a
 // 2-model registry, serve_net_smoke the network mode with forced overload
@@ -95,7 +95,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -148,7 +147,9 @@ bool row_matches(const std::vector<float>& got, const Tensor& want) {
 
 int main(int argc, char** argv) {
   using namespace vsq;
-  const Args args(argc, argv);
+  const std::optional<Args> parsed = parse_args("vsq_soak", argc, argv);
+  if (!parsed) return 2;
+  const Args& args = *parsed;
   if (!apply_threads_flag(args)) return 2;
   const std::string packages = args.get_str("packages", "");
   const std::string builtin =
@@ -174,10 +175,7 @@ int main(int argc, char** argv) {
   cfg.scale_product_bits = args.get_int("scale-bits", -1);
   cfg.queue_depth = static_cast<std::size_t>(std::max(0, args.get_int("queue-depth", 0)));
   cfg.admission_timeout_us = args.get_int("admission-timeout-us", -1);
-  if (const std::set<std::string> unknown = args.unused(); !unknown.empty()) {
-    std::cerr << "vsq_soak: unknown flag --" << *unknown.begin() << "\n";
-    return 2;
-  }
+  if (!reject_unknown_flags("vsq_soak", args)) return 2;
   if (chaos && external) {
     std::cerr << "vsq_soak: --chaos injects in-process failpoints and cannot target an "
                  "external server (--connect)\n";

@@ -6,9 +6,11 @@
 // --force deletes the existing checkpoint first so the model retrains.
 // --threads=N pins the global thread pool (0 = hardware concurrency; the
 // VSQ_THREADS environment variable is the fallback) for reproducible runs
-// on shared machines.
+// on shared machines. An unknown flag or a positional argument is a usage
+// error (exit 2, nothing trained).
 #include <cstdio>
 #include <iostream>
+#include <optional>
 
 #include "exp/experiment_context.h"
 #include "models/zoo.h"
@@ -16,10 +18,13 @@
 
 int main(int argc, char** argv) {
   using namespace vsq;
-  const Args args(argc, argv);
+  const std::optional<Args> parsed = parse_args("vsq_train", argc, argv);
+  if (!parsed) return 2;
+  const Args& args = *parsed;
   if (!apply_threads_flag(args)) return 1;
   const std::string which = args.get_str("model", "all");
   const bool force = args.get_flag("force");
+  if (!reject_unknown_flags("vsq_train", args)) return 2;
 
   ModelZoo zoo(artifacts_dir());
   const auto maybe_remove = [&](const char* ckpt) {
