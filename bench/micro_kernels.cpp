@@ -316,7 +316,6 @@ void bm_quantize_activations_isa(benchmark::State& state, const std::string& tie
 const int kQuantizeActivationsBenches = [] {
   std::vector<std::string> tiers{"portable"};
   if (isa::features().avx2) tiers.push_back("avx2");
-  if (isa::features().avx512_vnni) tiers.push_back("avx512_vnni");
   for (const std::string& t : tiers) {
     for (const auto& [rows, cols] : {std::pair<std::int64_t, std::int64_t>{128, 32}, {16, 256}}) {
       benchmark::RegisterBenchmark(("BM_QuantizeActivations/isa:" + t + "/" +

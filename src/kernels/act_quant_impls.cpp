@@ -5,10 +5,6 @@
 //   portable   the scalar reference loop (what quantize_activations_int runs)
 //   avx2       8 lanes per step; a vector's last len % 8 elements run the
 //              scalar quantize_code
-//   avx512     16 lanes per step, ragged vectors under a load/store mask
-//              (the serving configuration's 16-element vectors take one
-//              step per pass)
-
 //
 // The SIMD tiers reproduce the reference lane for lane, so every tier
 // yields the same codes and scales on every input:
@@ -103,54 +99,6 @@ __attribute__((target("avx2"))) void act_quant_avx2(const float* x, const VecRan
     }
   }
 }
-
-// GCC 12's 512-bit max/min/extract intrinsics pass _mm512_undefined_ps()
-// through, which trips -Wmaybe-uninitialized under -Werror (GCC PR105593,
-// as in int_panel_impls.cpp); suppressed for just this function.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#pragma GCC diagnostic ignored "-Wuninitialized"
-__attribute__((target("avx512f,avx512vl,avx512bw"))) void act_quant_avx512(
-    const float* x, const VecRange* vr, std::int64_t nvec, const ActQuantParams& p,
-    std::int16_t* q, std::uint16_t* sq) {
-  const std::int64_t qmin = p.fmt.qmin(), qmax = p.fmt.qmax(), sq_max = p.scale_fmt.qmax();
-  const __m512 lo = _mm512_set1_ps(static_cast<float>(qmin));
-  const __m512 hi = _mm512_set1_ps(static_cast<float>(qmax));
-  const __m512i zero = _mm512_setzero_si512();
-  const auto lanes = [](std::int32_t rem) {
-    return static_cast<__mmask16>(rem >= 16 ? 0xFFFFu : (1u << rem) - 1u);
-  };
-  for (std::int64_t v = 0; v < nvec; ++v) {
-    const float* xv = x + vr[v].c0;
-    std::int16_t* qv = q + vr[v].c0;
-    const std::int32_t len = vr[v].len;
-    __m512 m = _mm512_setzero_ps();
-    for (std::int32_t c = 0; c < len; c += 16) {
-      m = _mm512_max_ps(_mm512_abs_ps(_mm512_maskz_loadu_ps(lanes(len - c), xv + c)), m);
-    }
-    const float amax = hmax8(_mm256_max_ps(
-        _mm512_castps512_ps256(m),
-        _mm256_castpd_ps(_mm512_extractf64x4_pd(_mm512_castps_pd(m), 1))));
-    sq[v] = vector_scale_code(amax, qmax, p.gamma, sq_max);
-    const float eff = static_cast<float>(sq[v]) * p.gamma;  // Eq. 7h
-    if (!(eff > 0.0f)) {
-      for (std::int32_t c = 0; c < len; c += 16) {
-        _mm512_mask_cvtepi32_storeu_epi16(qv + c, lanes(len - c), zero);
-      }
-      continue;
-    }
-    const __m512 e = _mm512_set1_ps(eff);
-    for (std::int32_t c = 0; c < len; c += 16) {
-      const __mmask16 k = lanes(len - c);
-      const __m512 t = _mm512_div_ps(_mm512_maskz_loadu_ps(k, xv + c), e);
-      const __mmask16 ordered = _mm512_cmp_ps_mask(t, t, _CMP_ORD_Q);
-      const __m512i i =
-          _mm512_maskz_cvtps_epi32(ordered, _mm512_min_ps(_mm512_max_ps(t, lo), hi));
-      _mm512_mask_cvtepi32_storeu_epi16(qv + c, k, i);
-    }
-  }
-}
-#pragma GCC diagnostic pop
 #endif  // VSQ_KERNELS_X86
 
 }  // namespace
@@ -159,9 +107,7 @@ std::vector<ActQuantImpl> builtin_act_quant_impls() {
   std::vector<ActQuantImpl> impls;
   impls.push_back({"portable", isa::Tier::kPortable, act_quant_portable});
 #if VSQ_KERNELS_X86
-  const isa::Features& f = isa::features();
-  if (f.avx2) impls.push_back({"avx2", isa::Tier::kAvx2, act_quant_avx2});
-  if (f.avx512_vnni) impls.push_back({"avx512", isa::Tier::kAvx512Vnni, act_quant_avx512});
+  if (isa::features().avx2) impls.push_back({"avx2", isa::Tier::kAvx2, act_quant_avx2});
 #endif
   return impls;
 }

@@ -182,13 +182,13 @@ QuantizedLayerPackage export_conv(const Conv2d& conv) {
 namespace {
 
 // Shared body of the gemm-layer paths (prepacked == nullptr packs per
-// call). A batch whose quantization is row-local runs the fused row loop:
-// each row is quantized by the panels' bound act-quant kernel right
-// before it streams through them, inside the row split. Anything else —
-// dynamic per-tensor amax, operands too wide for int32 dot products, an
-// invalid spec or mismatched operands — runs the materialized reference
-// (quantize_activations_int + int_gemm), which computes the same bits and
-// raises the errors.
+// call). A batch that passes detail::row_local_quant runs the fused row
+// loop: each row is quantized (per-vector rows by the panels' bound
+// act-quant kernel) right before it streams through the panels, inside
+// the row split. Anything else — dynamic per-tensor amax, operands too
+// wide for int32 dot products, an invalid spec or mismatched operands —
+// runs the materialized reference (quantize_activations_int + int_gemm),
+// which computes the same bits and raises the errors.
 Tensor gemm_layer_exec(const QuantizedLayerPackage& layer, const Tensor& x2d,
                        int scale_product_bits, IntGemmStats* stats,
                        const detail::IntWeightPanels* prepacked) {
@@ -198,14 +198,9 @@ Tensor gemm_layer_exec(const QuantizedLayerPackage& layer, const Tensor& x2d,
   if (!layer.bias.empty() && static_cast<std::int64_t>(layer.bias.size()) != outs) {
     throw std::invalid_argument("run_packaged_layer: bias size mismatch");
   }
-  const bool per_vector = spec.granularity == Granularity::kPerVector;
-  const bool row_local =
-      spec.enabled && spec.fmt.bits <= 10 &&
-      (per_vector ? spec.scale_dtype == ScaleDtype::kTwoLevelInt : !spec.dynamic);
-  if (row_local && x2d.shape().rank() == 2 && x2d.shape()[1] == w.cols()) {
+  if (x2d.shape().rank() == 2 && x2d.shape()[1] == w.cols()) {
     const VectorLayout layout = spec.layout(w.cols());
-    if (layout.vector_size == w.layout.vector_size && layout.block_len() == w.layout.block_len() &&
-        detail::int32_dot_exact(spec.fmt, w.fmt, layout)) {
+    if (detail::row_local_quant(spec, w, layout)) {
       const std::int64_t rows = x2d.shape()[0];
       Tensor y(Shape{rows, outs});
       if (rows == 0 || outs == 0) return y;
@@ -290,7 +285,15 @@ const char* IntLayerPrimitive::acc_name() const {
 }
 
 const char* IntLayerPrimitive::quant_name() const {
-  return panels_ ? panels_->act_quant_impl().name : kernels::portable_act_quant().name;
+  // Only per-vector rows go through an act-quant kernel: the bound one on
+  // the fused row loop, the portable one inside quantize_activations_int
+  // on the materialized path. Coarse rows quantize against one scale.
+  const QuantSpec& spec = layer_->act_spec;
+  if (spec.granularity != Granularity::kPerVector) return "-";
+  const bool fused =
+      panels_ && detail::row_local_quant(spec, layer_->weights,
+                                         spec.layout(layer_->weights.cols()));
+  return fused ? panels_->act_quant_impl().name : kernels::portable_act_quant().name;
 }
 
 const char* IntLayerPrimitive::isa_name() const {

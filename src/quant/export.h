@@ -179,8 +179,9 @@ class IntLayerPrimitive {
   const char* op_name() const;     // "int_gemm" / "int_conv"
   const char* impl_name() const;   // panel impl, or "int64_ref" (no panels)
   const char* acc_name() const;    // scale-accumulate impl, or "int64_ref"
-  const char* quant_name() const;  // act-quant impl ("portable" without panels:
-                                   // the materialized reference loop)
+  const char* quant_name() const;  // act-quant impl of per-vector rows
+                                   // ("portable" off the fused row loop: the
+                                   // materialized reference), "-" for coarse
   const char* isa_name() const;    // ISA tier of the panel impl, or "-"
   const char* layout_name() const; // panel layout, or "-" (no panels)
   // Resident bytes of the packed panels (0 without panels) and what the

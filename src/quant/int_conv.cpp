@@ -94,18 +94,12 @@ Tensor int_conv_packed(const Tensor& x, const ConvGeom& g, const QuantizedMatrix
   if (per_vector && act_spec.scale_dtype != ScaleDtype::kTwoLevelInt) {
     throw std::invalid_argument("int_conv: hardware path requires two-level integer scales");
   }
-  // Dynamic per-tensor activation amax is a whole-matrix statistic — not
-  // computable from a streamed tile. Exported packages never use it
-  // (coarse activations calibrate statically); route the corner case
-  // through the materialized reference.
-  if (!per_vector && act_spec.dynamic) {
-    return conv_reference_packed(x, g, wgt, act_spec, act_amax, act_gamma, bias,
-                                 scale_product_bits, stats, prepacked);
-  }
-
-  // int32-exactness checked before packing: the int64 reference fallback
-  // (which packs inside int_gemm) must not pay for a discarded pack here.
-  if (!int32_dot_exact(act_spec.fmt, wgt.fmt, act_layout)) {
+  // What remains off the streamed path: a dynamic per-tensor amax (a
+  // whole-matrix statistic, not computable from one patch row; exported
+  // packages calibrate coarse activations statically) and operands too
+  // wide for int32 dot products. Checked before packing, so the reference
+  // (which packs inside int_gemm) never pays for a discarded pack here.
+  if (!row_local_quant(act_spec, wgt, act_layout)) {
     return conv_reference_packed(x, g, wgt, act_spec, act_amax, act_gamma, bias,
                                  scale_product_bits, stats, prepacked);
   }

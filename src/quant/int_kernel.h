@@ -66,6 +66,27 @@ inline bool int32_dot_exact(const QuantFormat& act_fmt, const QuantFormat& wgt_f
   return amax_q * wmax_q * std::max<std::int64_t>(max_len, 1) <= INT32_MAX;
 }
 
+// True when act_spec quantizes each row on its own and the operands fit
+// the fused row loop (run_quantized_rows): an enabled spec of at most 10
+// bits, two-level per-vector or static coarse (a dynamic per-tensor amax
+// is a whole-matrix statistic), activation vectors laid out as the
+// weight's, and int32-exact dot products. The one eligibility test of
+// every caller of that loop; anything else runs the materialized
+// reference (quantize_activations_int + int_gemm), which computes the
+// same bits and raises the operand errors.
+inline bool row_local_quant(const QuantSpec& act_spec, const QuantizedMatrix& wgt,
+                            const VectorLayout& act_layout) {
+  if (!act_spec.enabled || act_spec.fmt.bits > 10) return false;
+  if (act_spec.granularity == Granularity::kPerVector
+          ? act_spec.scale_dtype != ScaleDtype::kTwoLevelInt
+          : act_spec.dynamic) {
+    return false;
+  }
+  return act_layout.cols == wgt.cols() && act_layout.vector_size == wgt.layout.vector_size &&
+         act_layout.block_len() == wgt.layout.block_len() &&
+         int32_dot_exact(act_spec.fmt, wgt.fmt, act_layout);
+}
+
 // Datapath gating counters accumulated per chunk and merged into
 // IntGemmStats by the caller (keeps the hot loop free of atomics).
 struct IntRowStats {
@@ -314,10 +335,8 @@ using FpRowFn = const float* (*)(const void* ctx, std::int64_t r, float* scratch
 // counted in stats). Rows split across the current pool, and each output
 // row depends only on its own input row, so any split gives the same
 // bits — those of quantize_activations_int + int_gemm over the
-// materialized rows. The caller guarantees what this loop cannot check
-// per row: an enabled spec of at most 10 bits whose quantization is
-// row-local (two-level per-vector, or static coarse), and int32-exact
-// operands (int32_dot_exact).
+// materialized rows. Callers check row_local_quant(act_spec, wgt, layout)
+// first; this loop does not re-check it.
 void run_quantized_rows(const QuantizedMatrix& wgt, const VectorLayout& layout,
                         const QuantSpec& act_spec, float act_amax, float act_gamma,
                         std::int64_t rows, FpRowFn row, const void* ctx,

@@ -3,7 +3,8 @@
 //  * conv2d_nhwc vs im2col + gemm_blocked + bias across odd shapes
 //    (stride > 1, pad > 0, K=1 and K=3, C not a multiple of V)
 //  * Conv2d's fused inference path vs its materialized oracle path
-//  * int_conv vs run_packaged_layer on the materialized cols matrix
+//  * int_conv vs int_conv_reference (the materialized cols matrix through
+//    quantize_activations_int + int_gemm) and vs run_packaged_layer on it
 //  * 1-vs-8-thread determinism through ThreadPoolScope
 //  * steady-state arena behavior: the fused path's workspace does not grow
 //    across calls and stays far below the cols-matrix footprint
@@ -214,12 +215,17 @@ TEST(IntConv, BitIdenticalToRunPackagedLayerOnMaterializedCols) {
     EXPECT_EQ(got_stats.zero_dot_products, ref_stats.zero_dot_products);
     EXPECT_EQ(got_stats.max_abs_psum, ref_stats.max_abs_psum);
 
-    // And the reference wrapper agrees with both.
+    // And the materialized reference (quantize_activations_int + int_gemm
+    // over the whole cols matrix) agrees with both, counters included.
     const Tensor ref_conv =
         int_conv_reference(x, ops.geom, ops.layer.weights, ops.layer.act_spec,
                            ops.layer.act_amax, ops.layer.act_gamma, ops.layer.bias,
                            /*scale_product_bits=*/-1, &ref2_stats);
     expect_bitwise_equal(got, ref_conv, cc.str() + " vs int_conv_reference");
+    EXPECT_EQ(got_stats.vector_ops, ref2_stats.vector_ops);
+    EXPECT_EQ(got_stats.zero_scale_products, ref2_stats.zero_scale_products);
+    EXPECT_EQ(got_stats.zero_dot_products, ref2_stats.zero_dot_products);
+    EXPECT_EQ(got_stats.max_abs_psum, ref2_stats.max_abs_psum);
   }
 }
 
@@ -227,13 +233,13 @@ TEST(IntConv, ScaleProductRoundingMatchesReference) {
   const ConvCase cc{1, 6, 6, 16, 8, 3, 1, 1};
   const IntConvOperands ops = make_int_conv_operands(cc, 16, /*with_bias=*/false, 601);
   const Tensor x = random_tensor(Shape{cc.n, cc.h, cc.w, cc.c}, 602);
-  const Tensor cols = im2col(x, ops.geom);
   for (int bits : {4, 6, 8}) {
-    const Tensor ref = run_packaged_layer(ops.layer, cols, bits);
+    const Tensor ref =
+        int_conv_reference(x, ops.geom, ops.layer.weights, ops.layer.act_spec,
+                           ops.layer.act_amax, ops.layer.act_gamma, ops.layer.bias, bits);
     const Tensor got = int_conv(x, ops.geom, ops.layer.weights, ops.layer.act_spec,
                                 ops.layer.act_amax, ops.layer.act_gamma, ops.layer.bias, bits);
-    expect_bitwise_equal(got, ref.reshape(got.shape()),
-                         "scale_product_bits=" + std::to_string(bits));
+    expect_bitwise_equal(got, ref, "scale_product_bits=" + std::to_string(bits));
   }
 }
 
@@ -247,11 +253,11 @@ TEST(IntConv, CoarseActivationsMatchReference) {
   ops.layer.act_amax = 0.9f;
   ops.layer.act_gamma = 0.0f;
   const Tensor x = random_tensor(Shape{cc.n, cc.h, cc.w, cc.c}, 702);
-  const Tensor cols = im2col(x, ops.geom);
-  const Tensor ref = run_packaged_layer(ops.layer, cols);
+  const Tensor ref = int_conv_reference(x, ops.geom, ops.layer.weights, ops.layer.act_spec,
+                                        ops.layer.act_amax, ops.layer.act_gamma, ops.layer.bias);
   const Tensor got = int_conv(x, ops.geom, ops.layer.weights, ops.layer.act_spec,
                               ops.layer.act_amax, ops.layer.act_gamma, ops.layer.bias);
-  expect_bitwise_equal(got, ref.reshape(got.shape()), "coarse activations");
+  expect_bitwise_equal(got, ref, "coarse activations");
 }
 
 TEST(IntConv, ThreadCountInvariance) {

@@ -1,16 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <vector>
 
 #include "exp/experiment_context.h"
 #include "exp/ptq.h"
 #include "hw/mac_config.h"
+#include "kernels/registry.h"
 #include "nn/linear.h"
 #include "quant/export.h"
+#include "quant/int_gemm.h"
+#include "quant/int_kernel.h"
 #include "quant/learned_scale.h"
 #include "serve/registry.h"
 #include "tensor/ops.h"
@@ -85,6 +90,126 @@ TEST_F(ExportFixture, CoarseBaselinePackageRoundTrips) {
   const Tensor out = run_packaged_layer(loaded.layers.at("poc"), x);
   EXPECT_LT(max_abs_diff(ref, out), 2e-4f * (1.0f + amax_per_tensor(ref)));
   std::remove(path.c_str());
+}
+
+// ---- The packaged GEMM layer vs the materialized reference ----
+//
+// run_packaged_layer and IntLayerPrimitive::execute take the fused row
+// loop when detail::row_local_quant admits the layer (each row quantized,
+// per-vector rows by the bound act-quant kernel, right before it streams
+// through the panels) and the materialized path otherwise. Either way the
+// bits and the datapath counters must be those of quantize_activations_int
+// + int_gemm + bias over the whole matrix, computed here directly.
+
+struct GemmLayerCase {
+  std::string what;
+  QuantSpec wspec, aspec;
+  std::int64_t cols;
+  bool fused;         // expected row_local_quant verdict
+  const char* quant;  // expected quant_name(); nullptr = the resolved tier
+};
+
+QuantizedLayerPackage gemm_layer(const GemmLayerCase& c, std::int64_t outs, Rng& rng) {
+  QuantizedLayerPackage layer;
+  layer.name = c.what;
+  layer.weights = quantize_weights_int(random_tensor(Shape{outs, c.cols}, rng), c.wspec);
+  layer.act_spec = c.aspec;
+  layer.act_amax = 2.5f;
+  if (c.aspec.granularity == Granularity::kPerVector) {
+    layer.act_gamma = scale_from_amax(layer.act_amax, c.aspec.fmt) /
+                      static_cast<float>(c.aspec.scale_fmt.qmax());
+  }
+  for (std::int64_t k = 0; k < outs; ++k) layer.bias.push_back(static_cast<float>(rng.normal()));
+  return layer;
+}
+
+void expect_same_stats(const IntGemmStats& got, const IntGemmStats& ref, const std::string& what) {
+  EXPECT_EQ(got.vector_ops, ref.vector_ops) << what;
+  EXPECT_EQ(got.zero_scale_products, ref.zero_scale_products) << what;
+  EXPECT_EQ(got.zero_dot_products, ref.zero_dot_products) << what;
+  EXPECT_EQ(got.max_abs_psum, ref.max_abs_psum) << what;
+}
+
+TEST(PackagedGemmLayer, MatchesMaterializedReference) {
+  const GemmLayerCase cases[] = {
+      {"pv W4/uA8", specs::weight_pv(4, ScaleDtype::kTwoLevelInt, 6),
+       specs::act_pv(8, true, ScaleDtype::kTwoLevelInt, 8), 64, true, nullptr},
+      {"pv W4/A4 ragged", specs::weight_pv(4, ScaleDtype::kTwoLevelInt, 4),
+       specs::act_pv(4, false, ScaleDtype::kTwoLevelInt, 6), 29, true, nullptr},
+      {"pv W6/A3 V8", specs::weight_pv(6, ScaleDtype::kTwoLevelInt, 5, 8),
+       specs::act_pv(3, false, ScaleDtype::kTwoLevelInt, 4, 8), 44, true, nullptr},
+      {"coarse W8/uA8 static", specs::weight_coarse(8), specs::act_coarse(8, true), 48, true,
+       "-"},
+      {"pv W4/coarse A6 static", specs::weight_pv(4, ScaleDtype::kTwoLevelInt, 6),
+       specs::act_coarse(6, false), 40, true, "-"},
+      {"coarse A8 dynamic", specs::weight_coarse(8), specs::act_coarse(8, false, {}, true), 48,
+       false, "-"},
+      // 511 * 511 * 9000 > INT32_MAX: the int64 reference, no panels.
+      {"pv W10/A10 V9000 (int64)", specs::weight_pv(10, ScaleDtype::kTwoLevelInt, 6, 9000),
+       specs::act_pv(10, false, ScaleDtype::kTwoLevelInt, 8, 9000), 9008, false, "portable"},
+  };
+  constexpr std::int64_t kRows = 37, kOuts = 11;
+  Rng rng(2024);
+  for (const GemmLayerCase& c : cases) {
+    const QuantizedLayerPackage layer = gemm_layer(c, kOuts, rng);
+    ASSERT_EQ(detail::row_local_quant(layer.act_spec, layer.weights,
+                                      layer.act_spec.layout(c.cols)),
+              c.fused)
+        << c.what;
+    const IntLayerPrimitive prim(layer);
+    EXPECT_STREQ(prim.quant_name(), c.quant ? c.quant : kernels::resolve_act_quant().name)
+        << c.what;
+    const Tensor x_rand = random_tensor(Shape{kRows, c.cols}, rng, 1.5);
+    Tensor x_edge = x_rand;
+    // Values every quantizer tier must treat like the reference loop (a
+    // dynamic per-tensor amax turns the whole edge batch to NaN outputs,
+    // hence the bitwise comparison below).
+    x_edge.at2(1, 0) = 1e19f;
+    x_edge.at2(1, 1) = -std::numeric_limits<float>::infinity();
+    x_edge.at2(2, 2) = std::numeric_limits<float>::quiet_NaN();
+    x_edge.at2(3, c.cols - 1) = -1e19f;
+    for (std::int64_t col = 0; col < c.cols; ++col) x_edge.at2(4, col) = 0.0f;
+    const int scale_bits = c.aspec.granularity == Granularity::kPerVector
+                               ? c.aspec.scale_fmt.bits
+                               : c.wspec.scale_fmt.bits;
+    for (const auto& [input, sp_bits] :
+         {std::pair{&x_rand, -1}, {&x_rand, 3}, {&x_rand, scale_bits}, {&x_edge, -1},
+          {&x_edge, scale_bits}}) {
+      const Tensor& x = *input;
+      const std::string what = c.what + (input == &x_edge ? " edge" : "") +
+                               " sp=" + std::to_string(sp_bits);
+      IntGemmStats ref_stats;
+      const QuantizedMatrix acts =
+          quantize_activations_int(x, layer.act_spec, layer.act_amax, layer.act_gamma);
+      Tensor ref = int_gemm(acts, layer.weights, sp_bits, &ref_stats);
+      for (std::int64_t r = 0; r < kRows; ++r) {
+        for (std::int64_t k = 0; k < kOuts; ++k) {
+          ref.at2(r, k) += layer.bias[static_cast<std::size_t>(k)];
+        }
+      }
+      for (const bool with_stats : {false, true}) {
+        const std::string tag = what + (with_stats ? " stats" : "");
+        IntGemmStats call_stats, prim_stats;
+        const Tensor per_call =
+            run_packaged_layer(layer, x, sp_bits, with_stats ? &call_stats : nullptr);
+        const Tensor via_prim =
+            prim.execute(x, IntExecContext{sp_bits, with_stats ? &prim_stats : nullptr});
+        ASSERT_EQ(per_call.shape(), ref.shape()) << tag;
+        ASSERT_EQ(via_prim.shape(), ref.shape()) << tag;
+        for (std::int64_t i = 0; i < ref.numel(); ++i) {
+          const auto ref_bits = std::bit_cast<std::uint32_t>(ref[i]);
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(per_call[i]), ref_bits)
+              << tag << ": run_packaged_layer element " << i;
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(via_prim[i]), ref_bits)
+              << tag << ": IntLayerPrimitive element " << i;
+        }
+        if (with_stats) {
+          expect_same_stats(call_stats, ref_stats, tag + " run_packaged_layer");
+          expect_same_stats(prim_stats, ref_stats, tag + " IntLayerPrimitive");
+        }
+      }
+    }
+  }
 }
 
 TEST(ExportErrors, RejectsUnquantizedLayer) {

@@ -326,7 +326,7 @@ TEST(ForcedTier, ResolutionBindsAtLoadNotAtForward) {
 
 std::vector<const kernels::ActQuantImpl*> act_quant_tiers() {
   std::vector<const kernels::ActQuantImpl*> tiers;
-  for (const char* name : {"portable", "avx2", "avx512"}) {
+  for (const char* name : {"portable", "avx2"}) {
     if (const kernels::ActQuantImpl* impl = kernels::find_act_quant_impl(name)) {
       tiers.push_back(impl);
     }
