@@ -327,6 +327,33 @@ const int kQuantizeActivationsBenches = [] {
   return 0;
 }();
 
+// The gelu primitive per tier: the kernel resolved under the cap over one
+// buffer of 10752 elements, a 168-token tiny_bert batch's 64-wide FFN
+// rows (what one GELU step of the runner covers), drawn N(0, 1) like
+// fc1's pre-activations. items = elements.
+void bm_gelu_isa(benchmark::State& state, const std::string& tier, std::int64_t n) {
+  const ScopedIsa cap(tier);
+  const kernels::GeluImpl& impl = kernels::resolve_gelu();
+  const Tensor x = random_matrix(1, n, 43);
+  std::vector<float> y(static_cast<std::size_t>(n));
+  for (auto _ : state) {
+    impl.fn(x.data(), n, y.data());
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+
+const int kGeluBenches = [] {
+  std::vector<std::string> tiers{"portable"};
+  if (isa::features().avx2) tiers.push_back("avx2");
+  for (const std::string& t : tiers) {
+    benchmark::RegisterBenchmark(("BM_Gelu/isa:" + t + "/10752").c_str(), bm_gelu_isa, t,
+                                 std::int64_t{10752});
+  }
+  return 0;
+}();
+
 // ---- sub-byte packed weight panels ----
 //
 // The 4-bit int_gemm workload at large K — the regime where the panel

@@ -131,7 +131,10 @@ QuantizedModelPackage tiny_conv_package(const MacConfig& mac) {
 }
 
 QuantizedModelPackage tiny_bert_package(const MacConfig& mac) {
-  const TransformerConfig config = tiny_bert_config();
+  return transformer_package(tiny_bert_config(), mac);
+}
+
+QuantizedModelPackage transformer_package(const TransformerConfig& config, const MacConfig& mac) {
   TransformerEncoder model(config);
   // Token ids drawn with uniform() only (no libm), floored to exact small
   // integers — the calibration stream, and therefore the exported

@@ -76,13 +76,17 @@ QuantizedModelPackage tiny_mlp_package(const MacConfig& mac);
 // archive all build EXACTLY this.
 QuantizedModelPackage tiny_conv_package(const MacConfig& mac);
 
-// The deterministic tiny transformer deployment package (models/zoo.h
-// tiny_bert_config, untrained, 32-row uniform token-id calibration batch,
+// The deterministic transformer deployment package of an untrained
+// TransformerEncoder(config): 32-row uniform token-id calibration batch,
 // TransformerEncoder::export_program + sequence geometry + fp layernorm /
-// embedding parameter sets attached). Quantizes the per-head projection
+// embedding parameter sets attached. Quantizes the per-head projection
 // and FFN GEMMs and keeps softmax/layernorm/embeddings fp, the Q8BERT /
-// I-BERT recipe. vsq_quantize --model=tiny_bert, the transformer serving
-// smoke test and the tiny_bert golden archive all build EXACTLY this.
+// I-BERT recipe.
+QuantizedModelPackage transformer_package(const TransformerConfig& config, const MacConfig& mac);
+
+// transformer_package at models/zoo.h's tiny_bert_config. vsq_quantize
+// --model=tiny_bert, the transformer serving smoke test and the tiny_bert
+// golden archive all build EXACTLY this.
 QuantizedModelPackage tiny_bert_package(const MacConfig& mac);
 
 // The builtin serving-model menu shared by the soak driver and the

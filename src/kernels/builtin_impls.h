@@ -13,6 +13,7 @@ namespace vsq::kernels {
 std::vector<IntPanelImpl> builtin_int_panel_impls();   // int_panel_impls.cpp
 std::vector<PanelAccImpl> builtin_panel_acc_impls();   // int_panel_impls.cpp
 std::vector<ActQuantImpl> builtin_act_quant_impls();   // act_quant_impls.cpp
+std::vector<GeluImpl> builtin_gelu_impls();            // gelu_impls.cpp
 std::vector<FpMicroImpl> builtin_fp_micro_impls();     // fp_micro.cpp
 
 }  // namespace vsq::kernels

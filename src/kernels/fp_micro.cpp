@@ -3,7 +3,14 @@
 // packing and blocking; only the innermost tile multiply dispatches).
 // Tile constants mirror tensor/gemm_kernel.h's kGemmMR/kGemmNR — asserted
 // there at the single call site that resolves these.
+//
+// One rounding contract on every tier: each multiply-add acc += a * b
+// rounds ONCE (a fused multiply-add), in the same k order, so every tier
+// returns the same bits. The avx2_fma tier issues vfmadd; the portable
+// tier calls std::fmaf, which costs a library call per multiply-add on CPUs
+// without FMA but keeps VSQ_ISA=portable on the native tier's bits.
 #include <algorithm>
+#include <cmath>
 
 #include "kernels/builtin_impls.h"
 #include "kernels/isa.h"
@@ -27,7 +34,7 @@ void micro_portable(std::int64_t kc, const float* pa, const float* pb, float* ab
   for (std::int64_t p = 0; p < kc; ++p, pa += MR, pb += NR) {
     for (int i = 0; i < MR; ++i) {
       const float av = pa[i];
-      for (int j = 0; j < NR; ++j) acc[i * NR + j] += av * pb[j];
+      for (int j = 0; j < NR; ++j) acc[i * NR + j] = std::fmaf(av, pb[j], acc[i * NR + j]);
     }
   }
   std::copy(acc, acc + MR * NR, ab);

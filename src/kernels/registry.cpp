@@ -18,9 +18,9 @@
 namespace vsq::kernels {
 namespace {
 
-// Resolution cache of a descriptor-free primitive (act-quant, fp-micro),
-// keyed by the VSQ_ISA value it was resolved under (the env is re-read so
-// tests can flip tiers between calls).
+// Resolution cache of a descriptor-free primitive (act-quant, gelu,
+// fp-micro), keyed by the VSQ_ISA value it was resolved under (the env is
+// re-read so tests can flip tiers between calls).
 template <class Impl>
 struct TierCache {
   std::string key = "\x01unresolved";
@@ -35,11 +35,13 @@ struct Tables {
   std::deque<IntPanelImpl> int_panel;
   std::deque<PanelAccImpl> panel_acc;
   std::deque<ActQuantImpl> act_quant;
+  std::deque<GeluImpl> gelu;
   std::deque<FpMicroImpl> fp_micro;
   // Chooser cache: (candidate set, shape class) -> winner. Synthetic-bench
   // ties are timed once per shape class, not per pack.
   std::map<std::string, const IntPanelImpl*> chooser;
   TierCache<ActQuantImpl> act_quant_cache;
+  TierCache<GeluImpl> gelu_cache;
   TierCache<FpMicroImpl> fp_cache;
 };
 
@@ -49,6 +51,7 @@ Tables& tables() {
     for (const IntPanelImpl& i : builtin_int_panel_impls()) tt->int_panel.push_back(i);
     for (const PanelAccImpl& i : builtin_panel_acc_impls()) tt->panel_acc.push_back(i);
     for (const ActQuantImpl& i : builtin_act_quant_impls()) tt->act_quant.push_back(i);
+    for (const GeluImpl& i : builtin_gelu_impls()) tt->gelu.push_back(i);
     for (const FpMicroImpl& i : builtin_fp_micro_impls()) tt->fp_micro.push_back(i);
     return tt;
   }();
@@ -278,6 +281,11 @@ const ActQuantImpl& resolve_act_quant() {
   return resolve_by_tier(t.act_quant, t.act_quant_cache, t.mu);
 }
 
+const GeluImpl& resolve_gelu() {
+  Tables& t = tables();
+  return resolve_by_tier(t.gelu, t.gelu_cache, t.mu);
+}
+
 const FpMicroImpl& resolve_fp_micro() {
   Tables& t = tables();
   return resolve_by_tier(t.fp_micro, t.fp_cache, t.mu);
@@ -318,6 +326,15 @@ const ActQuantImpl* find_act_quant_impl(const char* name) {
   Tables& t = tables();
   std::lock_guard lock(t.mu);
   for (const ActQuantImpl& impl : t.act_quant) {
+    if (std::strcmp(impl.name, name) == 0) return &impl;
+  }
+  return nullptr;
+}
+
+const GeluImpl* find_gelu_impl(const char* name) {
+  Tables& t = tables();
+  std::lock_guard lock(t.mu);
+  for (const GeluImpl& impl : t.gelu) {
     if (std::strcmp(impl.name, name) == 0) return &impl;
   }
   return nullptr;

@@ -7,7 +7,7 @@
 // the process), so steady-state serving performs zero dispatch lookups —
 // asserted by tests via dispatch_resolutions_total().
 //
-// Four primitive kinds cover the library today:
+// Five primitive kinds cover the library today:
 //   int-panel   the per-vector integer dot-product microkernel (the VS-Quant
 //               MAC array): one activation row x one packed weight panel ->
 //               kPanelCols dot products per vector
@@ -16,17 +16,21 @@
 //   act-quant   the PPU's two-level activation quantizer over one row:
 //               per vector, runtime amax -> integer scale sq -> integer
 //               elements (Eq. 7g-7h)
+//   gelu        GELU's tanh approximation over a float array (the
+//               transformer FFN's activation, run in fp32 between the
+//               integer GEMMs)
 //   fp-micro    the MR x NR register-tile microkernel of the fp32 GEMM
 //
 // Implementations register with an ISA tier (kernels/isa.h) and an
 // eligibility predicate over the descriptor; resolution picks the highest
 // tier the CPU (and the VSQ_ISA cap) allows. Every tier computes EXACTLY
-// the same arithmetic — integer kernels are exact, fp kernels share one
-// accumulation order, and the act-quant tiers perform the portable loop's
-// IEEE operations lane for lane — so dispatch can change speed, never
-// results. When several int-panel implementations are eligible for a
-// shape, a cached micro-benchmark on synthetic operands of that shape
-// class breaks the tie; act-quant and fp-micro resolve by tier alone.
+// the same arithmetic — integer kernels are exact, fp-micro tiers share
+// one accumulation order and round each multiply-add once, and the
+// act-quant and gelu tiers perform their scalar definition's IEEE
+// operations lane for lane — so dispatch can change speed, never results.
+// When several int-panel implementations are eligible for a shape, a
+// cached micro-benchmark on synthetic operands of that shape class breaks
+// the tie; act-quant, gelu and fp-micro resolve by tier alone.
 //
 // New backends (sub-byte packing, bitplane kernels, other ISAs) plug in by
 // appending an implementation with register_*_impl; no dispatch site
@@ -246,6 +250,31 @@ struct ActQuantImpl {
   ActQuantFn fn = nullptr;
 };
 
+// ---- gelu primitive --------------------------------------------------------
+
+// GELU's tanh approximation, 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))).
+inline constexpr float kGeluSqrt2OverPi = 0.7978845608028654f;
+inline constexpr float kGeluCubic = 0.044715f;
+
+// tanh in float by fdlibm's algorithm (tanhf over expm1f), the one glibc
+// 2.36 ships as tanhf: gelu_impls.cpp holds the port.
+float tanh_fdlibm(float x);
+
+// GELU for one element, evaluated left to right in float with
+// tanh_fdlibm. The canonical definition: vsq::gelu_value
+// (nn/activations.h) forwards here, and every gelu tier reproduces it
+// lane for lane.
+float gelu_element(float x);
+
+// y[i] = gelu_element(x[i]) for 0 <= i < n.
+using GeluFn = void (*)(const float* x, std::int64_t n, float* y);
+
+struct GeluImpl {
+  const char* name;
+  isa::Tier tier;
+  GeluFn fn = nullptr;
+};
+
 // ---- fp-micro primitive ----------------------------------------------------
 
 // ab[MR*NR] = A_panel * B_panel over kc (tensor/gemm_kernel.h tiling).
@@ -267,11 +296,12 @@ struct FpMicroImpl {
 const IntPanelImpl& resolve_int_panel(const KernelDesc& desc);
 const PanelAccImpl& resolve_panel_acc(const KernelDesc& desc);
 
-// The act-quant and fp microkernels have no per-layer descriptor (every
-// tier handles every format and shape): the highest tier under the cap
-// wins, cached per VSQ_ISA value, and only a cache miss counts as a
+// The act-quant, gelu and fp microkernels have no per-layer descriptor
+// (every tier handles every format and shape): the highest tier under the
+// cap wins, cached per VSQ_ISA value, and only a cache miss counts as a
 // dispatch resolution. No micro-benchmark runs.
 const ActQuantImpl& resolve_act_quant();
+const GeluImpl& resolve_gelu();
 const FpMicroImpl& resolve_fp_micro();
 
 // The always-present scalar scale-accumulate, for callers that must
@@ -289,13 +319,14 @@ const ActQuantImpl& portable_act_quant();
 // happens at package-load time.
 std::uint64_t dispatch_resolutions_total();
 
-// Look up a registered int-panel (act-quant) implementation by name,
-// nullptr when absent (e.g. "avx512_vnni" on a CPU without it).
+// Look up a registered int-panel (act-quant, gelu) implementation by
+// name, nullptr when absent (e.g. "avx512_vnni" on a CPU without it).
 // Introspection for the registry tests, which pin a specific kernel
 // instead of riding the tie-break (or the tier cap); resolution paths
 // never use this.
 const IntPanelImpl* find_int_panel_impl(const char* name);
 const ActQuantImpl* find_act_quant_impl(const char* name);
+const GeluImpl* find_gelu_impl(const char* name);
 
 // Append an implementation (addresses of registered impls are stable).
 // Built-in tiers self-register on first resolution.

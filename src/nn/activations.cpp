@@ -1,7 +1,8 @@
 #include "nn/activations.h"
 
-#include <cmath>
 #include <stdexcept>
+
+#include "kernels/registry.h"
 
 namespace vsq {
 
@@ -25,20 +26,14 @@ Tensor ReLU::backward(const Tensor& grad_out) {
   return g;
 }
 
-namespace {
-constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
-constexpr float kGeluA = 0.044715f;
-}  // namespace
-
-float gelu_value(float x) {
-  const float u = kGeluC * (x + kGeluA * x * x * x);
-  return 0.5f * x * (1.0f + std::tanh(u));
-}
+float gelu_value(float x) { return kernels::gelu_element(x); }
 
 float gelu_grad_value(float x) {
-  const float u = kGeluC * (x + kGeluA * x * x * x);
-  const float t = std::tanh(u);
-  const float du = kGeluC * (1.0f + 3.0f * kGeluA * x * x);
+  using kernels::kGeluCubic;
+  using kernels::kGeluSqrt2OverPi;
+  const float u = kGeluSqrt2OverPi * (x + kGeluCubic * x * x * x);
+  const float t = kernels::tanh_fdlibm(u);
+  const float du = kGeluSqrt2OverPi * (1.0f + 3.0f * kGeluCubic * x * x);
   return 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du;
 }
 

@@ -25,7 +25,9 @@ class GELU : public Layer {
   Tensor x_;
 };
 
-// Functional forms (used inside attention and by tests).
+// Functional forms (used inside attention and by tests). gelu_value is
+// the kernel layer's scalar definition (kernels::gelu_element), which
+// every tier of the runner's gelu primitive reproduces bit for bit.
 float gelu_value(float x);
 float gelu_grad_value(float x);
 

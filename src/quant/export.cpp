@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "fault/failpoint.h"
-#include "nn/activations.h"
 #include "nn/conv2d.h"
 #include "nn/softmax.h"
 #include "quant/int_conv.h"
@@ -745,12 +744,11 @@ Tensor layernorm_exec(const Tensor& x, const LayerNormPackage& ln) {
   return y;
 }
 
-Tensor gelu_exec(const Tensor& x) {
+// GELU through the gelu kernel bound at load; every tier returns
+// nn/activations' gelu_value bits.
+Tensor gelu_exec(const Tensor& x, const kernels::GeluImpl& gelu) {
   Tensor y(x.shape());
-  const float* src = x.data();
-  float* dst = y.data();
-  const std::int64_t n = x.numel();
-  for (std::int64_t i = 0; i < n; ++i) dst[i] = gelu_value(src[i]);
+  gelu.fn(x.data(), x.numel(), y.data());
   return y;
 }
 
@@ -1079,6 +1077,7 @@ QuantizedModelRunner::QuantizedModelRunner(const QuantizedModelPackage& pkg,
           throw std::invalid_argument("QuantizedModelRunner: elementwise step on an unshaped "
                                       "activation");
         }
+        if (step.op == Op::kGelu) st.gelu = &kernels::resolve_gelu();
         fresh_h = true;
         break;
     }
@@ -1105,6 +1104,13 @@ QuantizedModelRunner::QuantizedModelRunner(const QuantizedModelPackage& pkg,
 const IntLayerPrimitive* QuantizedModelRunner::primitive(const std::string& layer) const {
   const auto it = prims_.find(layer);
   return it == prims_.end() ? nullptr : &it->second;
+}
+
+const char* QuantizedModelRunner::gelu_name() const {
+  for (const Step& s : steps_) {
+    if (s.gelu != nullptr) return s.gelu->name;
+  }
+  return nullptr;
 }
 
 QuantizedModelRunner::~QuantizedModelRunner() = default;
@@ -1216,7 +1222,7 @@ Tensor QuantizedModelRunner::run_steps(const Tensor& x, const std::vector<std::i
         h = softmax_last_axis(h);
         break;
       case Op::kGelu:
-        h = gelu_exec(h);
+        h = gelu_exec(h, *s.gelu);
         break;
     }
     if (s.relu) relu_inplace(h);

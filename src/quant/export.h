@@ -306,17 +306,22 @@ class QuantizedModelRunner {
   // full load-time resolution — what vsq_inspect --kernels prints.
   const IntLayerPrimitive* primitive(const std::string& layer) const;
   const std::map<std::string, IntLayerPrimitive>& primitives() const { return prims_; }
+  // The gelu kernel the program's GELU steps bound at load (nullptr when
+  // the program has none).
+  const char* gelu_name() const;
 
  private:
   // One program step resolved at load: what forward() executes it with.
   // prim holds the layer op's primitive, or kAttention's q, k, v and out
-  // projections; norm / embed the kLayerNorm / kEmbed parameter set.
+  // projections; norm / embed the kLayerNorm / kEmbed parameter set; gelu
+  // the kGelu step's kernel.
   struct Step {
     ForwardStep::Op op = ForwardStep::Op::kGemm;
     bool relu = false;
     const IntLayerPrimitive* prim[4] = {};
     const LayerNormPackage* norm = nullptr;
     const EmbeddingPackage* embed = nullptr;
+    const kernels::GeluImpl* gelu = nullptr;
   };
 
   // The step loop over x's rows: `off` holds the token-row offsets of a

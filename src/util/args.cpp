@@ -1,5 +1,6 @@
 #include "util/args.h"
 
+#include <charconv>
 #include <iostream>
 #include <stdexcept>
 
@@ -29,16 +30,29 @@ std::string Args::get_str(const std::string& name, const std::string& def) const
   return it == kv_.end() ? def : it->second;
 }
 
+namespace {
+
+// The whole of v as a T, or std::invalid_argument.
+template <class T>
+T parse_number(const std::string& v, const char* what) {
+  T out{};
+  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+  if (ec != std::errc() || end != v.data() + v.size()) throw std::invalid_argument(what);
+  return out;
+}
+
+}  // namespace
+
 int Args::get_int(const std::string& name, int def) const {
-  used_.insert(name);
-  const auto it = kv_.find(name);
-  return it == kv_.end() ? def : std::stoi(it->second);
+  return get_parsed(name, def, [](const std::string& v) {
+    return parse_number<int>(v, "expected an integer");
+  });
 }
 
 double Args::get_double(const std::string& name, double def) const {
-  used_.insert(name);
-  const auto it = kv_.find(name);
-  return it == kv_.end() ? def : std::stod(it->second);
+  return get_parsed(name, def, [](const std::string& v) {
+    return parse_number<double>(v, "expected a number");
+  });
 }
 
 bool Args::get_flag(const std::string& name) const {
@@ -55,7 +69,11 @@ std::optional<Args> parse_args(const char* tool, int argc, char** argv) {
   }
 }
 
-bool reject_unknown_flags(const char* tool, const Args& args) {
+bool reject_bad_flags(const char* tool, const Args& args) {
+  if (!args.malformed().empty()) {
+    std::cerr << tool << ": " << args.malformed() << "\n";
+    return false;
+  }
   const std::set<std::string> unknown = args.unused();
   if (unknown.empty()) return true;
   std::cerr << tool << ": unknown flag --" << *unknown.begin() << "\n";
@@ -66,12 +84,7 @@ bool apply_threads_flag(const Args& args) {
   // Pin the pool only when --threads was actually passed, so the
   // VSQ_THREADS environment fallback keeps working otherwise.
   if (args.get_str("threads", "").empty()) return true;
-  int threads = 0;
-  try {
-    threads = args.get_int("threads", 0);
-  } catch (const std::exception&) {
-    threads = -1;
-  }
+  const int threads = args.get_int("threads", -1);  // malformed -> -1, rejected below
   if (threads < 0 || static_cast<std::size_t>(threads) > ThreadPool::kMaxThreads) {
     std::cerr << "--threads must be in [0, " << ThreadPool::kMaxThreads
               << "] (0 = hardware concurrency)\n";

@@ -14,28 +14,52 @@ class Args {
  public:
   Args(int argc, char** argv);
 
-  // Declare flags before reading; get_* throws on undeclared names.
+  // Each get_* marks the flag as read and returns `def` when it is absent.
+  // get_int and get_double parse the whole value; get_parsed runs `parse`
+  // (which throws on bad input, as MacConfig::parse does) on it. A
+  // malformed value (--vector=abc, --vector=12x) is recorded for
+  // reject_bad_flags and `def` returned, so a tool reads all its flags and
+  // then fails once.
   std::string get_str(const std::string& name, const std::string& def) const;
   int get_int(const std::string& name, int def) const;
   double get_double(const std::string& name, double def) const;
+  template <class T, class Parse>
+  T get_parsed(const std::string& name, T def, Parse parse) const;
   bool get_flag(const std::string& name) const;  // present -> true
 
   // Returns names the user passed that were never queried (for warnings).
   std::set<std::string> unused() const;
+  // "--name=value: reason" for the first malformed value read, else "".
+  const std::string& malformed() const { return malformed_; }
 
  private:
   std::map<std::string, std::string> kv_;
   mutable std::set<std::string> used_;
+  mutable std::string malformed_;
 };
+
+template <class T, class Parse>
+T Args::get_parsed(const std::string& name, T def, Parse parse) const {
+  used_.insert(name);
+  const auto it = kv_.find(name);
+  if (it == kv_.end()) return def;
+  try {
+    return parse(it->second);
+  } catch (const std::exception& e) {
+    if (malformed_.empty()) malformed_ = "--" + name + "=" + it->second + ": " + e.what();
+    return def;
+  }
+}
 
 // The usage gates every CLI tool runs. parse_args reads argv; a malformed
 // argument (a positional one, say) prints "<tool>: <reason>" to stderr
-// and returns nullopt. reject_unknown_flags, run once the tool has read
-// every flag it knows, prints "<tool>: unknown flag --<name>" for the
-// first flag nothing read and returns false. Either way the tool exits 2,
-// the usage-error status, before doing any work.
+// and returns nullopt. reject_bad_flags, run once the tool has read every
+// flag it knows, prints "<tool>: <flag>: <reason>" for the first
+// malformed value, or else "<tool>: unknown flag --<name>" for the first
+// flag nothing read, and returns false. Either way the tool exits 2, the
+// usage-error status, before doing any work.
 std::optional<Args> parse_args(const char* tool, int argc, char** argv);
-bool reject_unknown_flags(const char* tool, const Args& args);
+bool reject_bad_flags(const char* tool, const Args& args);
 
 // Shared --threads=N handling for every CLI tool: pins the global thread
 // pool when the flag was passed (0 = hardware concurrency), otherwise

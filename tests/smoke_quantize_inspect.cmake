@@ -1,6 +1,7 @@
 # End-to-end CLI smoke test: vsq_quantize a small model, then vsq_inspect
 # the exported package (layer table and --kernels), and check that both
-# tools answer usage errors with exit 2. Invoked from ctest (see tests/CMakeLists.txt) with
+# tools answer usage errors with exit 2 and an unreadable package with
+# exit 1. Invoked from ctest (see tests/CMakeLists.txt) with
 #   -DVSQ_QUANTIZE=<path> -DVSQ_INSPECT=<path> -DWORK_DIR=<scratch dir>
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
@@ -74,3 +75,30 @@ foreach(bad_args "--package=${PACKAGE};--kernles" "${PACKAGE}")
     message(FATAL_ERROR "vsq_inspect ${bad_args} exited with ${rc}, expected the usage error 2:\n${out}")
   endif()
 endforeach()
+
+# A malformed flag value is a usage error too: exit 2, nothing exported.
+foreach(bad_flag "--config=bogus" "--vector=abc" "--vector=16x")
+  execute_process(
+    COMMAND "${VSQ_QUANTIZE}" --model=tiny ${bad_flag} "--out=${TYPO_PACKAGE}"
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out ERROR_VARIABLE out)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "vsq_quantize ${bad_flag} exited with ${rc}, expected the usage error 2:\n${out}")
+  endif()
+  if(EXISTS "${TYPO_PACKAGE}")
+    message(FATAL_ERROR "vsq_quantize wrote ${TYPO_PACKAGE} despite ${bad_flag}")
+  endif()
+endforeach()
+
+# A package that cannot be read fails the run (exit 1) with one line on
+# stderr, not an abort.
+execute_process(
+  COMMAND "${VSQ_INSPECT}" "--package=${WORK_DIR}/missing.vsqa"
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 1)
+  message(FATAL_ERROR "vsq_inspect on a missing package exited with ${rc}, expected 1:\n${out}${err}")
+endif()
+if(NOT err MATCHES "^vsq_inspect: [^\n]*\n$")
+  message(FATAL_ERROR "vsq_inspect on a missing package did not print one line on stderr:\n${err}")
+endif()

@@ -46,6 +46,19 @@ if(NOT out MATCHES "gelu")
   message(FATAL_ERROR "vsq_inspect did not print the gelu program step")
 endif()
 
+# --kernels names the gelu kernel the GELU steps bound at load.
+execute_process(
+  COMMAND "${VSQ_INSPECT}" "--package=${PACKAGE}" --kernels
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out ERROR_VARIABLE out)
+message(STATUS "vsq_inspect --kernels output:\n${out}")
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "vsq_inspect --kernels failed with exit code ${rc}")
+endif()
+if(NOT out MATCHES "gelu kernel: (portable|avx2)")
+  message(FATAL_ERROR "vsq_inspect --kernels did not print the bound gelu kernel")
+endif()
+
 # A long straggler window plus more clients than max_batch makes
 # mixed-length coalescing essentially certain; the gates below still
 # assert it rather than assume it.

@@ -22,7 +22,6 @@
 #include "hw/mac_config.h"
 #include "models/zoo.h"
 #include "quant/export.h"
-#include "tensor/gemm_kernel.h"
 #include "util/rng.h"
 
 namespace vsq {
@@ -111,12 +110,8 @@ TEST(GoldenPackage, FreshExportMatchesCommittedArchive) {
   // Quantizing the deterministic tiny model today must reproduce the
   // committed package bit-for-bit: calibration, scale factorization and
   // weight quantization are all deterministic functions of the seed.
-  // Calibration runs the fp32 forward, whose microkernel tiers round
-  // differently (FMA), so the archives pin the tier they were exported
-  // under; runner outputs on the committed package stay asserted per tier.
-  if (!gemm_kernel_uses_avx2()) {
-    GTEST_SKIP() << "archives exported under the avx2 fp tier";
-  }
+  // Calibration runs the fp32 forward, whose microkernel tiers all round
+  // each multiply-add once, so every VSQ_ISA tier exports the same bytes.
   const std::string tmp = std::filesystem::temp_directory_path() / "vsq_golden_fresh.vsqa";
   build_tiny_package().save(tmp);
   EXPECT_EQ(read_bytes(tmp), read_bytes(golden_package_path()))
@@ -203,9 +198,6 @@ TEST(GoldenConvPackage, StructureMatchesCommittedExpectations) {
 }
 
 TEST(GoldenConvPackage, FreshExportMatchesCommittedArchive) {
-  if (!gemm_kernel_uses_avx2()) {
-    GTEST_SKIP() << "archives exported under the avx2 fp tier";
-  }
   const std::string tmp = std::filesystem::temp_directory_path() / "vsq_golden_conv_fresh.vsqa";
   build_tiny_conv_package().save(tmp);
   EXPECT_EQ(read_bytes(tmp), read_bytes(golden_conv_package_path()))
@@ -311,9 +303,6 @@ TEST(GoldenBertPackage, StructureMatchesCommittedExpectations) {
 }
 
 TEST(GoldenBertPackage, FreshExportMatchesCommittedArchive) {
-  if (!gemm_kernel_uses_avx2()) {
-    GTEST_SKIP() << "archives exported under the avx2 fp tier";
-  }
   const std::string tmp = std::filesystem::temp_directory_path() / "vsq_golden_bert_fresh.vsqa";
   build_tiny_bert_package().save(tmp);
   EXPECT_EQ(read_bytes(tmp), read_bytes(golden_bert_package_path()))

@@ -2,12 +2,13 @@
 // VSQ_ISA cap (including rejection of unknown values), bit-identity of
 // every registered tier across the gemm/conv/runner surface — odd shapes,
 // tail vectors, batched vs sequential — the VNNI int8 kernel and every
-// act-quant tier pinned directly (exercised-or-skip), and the
+// act-quant and gelu tier pinned directly (exercised-or-skip), and the
 // resolution-time binding contract: primitives resolve at load, never on
 // the serving path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -317,6 +318,29 @@ TEST(ForcedTier, ResolutionBindsAtLoadNotAtForward) {
   for (const auto& [name, prim] : uncapped.primitives()) {
     EXPECT_STREQ(prim.quant_name(), kernels::resolve_act_quant().name) << name;
   }
+  EXPECT_EQ(uncapped.gelu_name(), nullptr) << "the MLP program has no GELU step";
+
+  // The sequence program's GELU binds at load the same way. (At this
+  // geometry attention's fp32 products take gemm.cpp's direct loops, so
+  // no fp32 microkernel is looked up per forward either.)
+  const QuantizedModelPackage bert = tiny_bert_package(MacConfig::parse("4/8/6/10"));
+  Tensor tokens(Shape{2, 9});
+  for (std::int64_t i = 0; i < tokens.numel(); ++i) {
+    tokens[i] = static_cast<float>((7 * i + 3) % 50);
+  }
+  std::optional<QuantizedModelRunner> bert_capped;
+  {
+    EnvIsa e("portable");
+    bert_capped.emplace(bert);
+  }
+  EXPECT_STREQ(bert_capped->gelu_name(), "portable");
+  const Tensor t_capped = [&] {
+    EnvIsa e("pentium3");
+    return bert_capped->forward(tokens);
+  }();
+  const QuantizedModelRunner bert_native(bert);
+  EXPECT_STREQ(bert_native.gelu_name(), kernels::resolve_gelu().name);
+  expect_bitwise_equal(t_capped, bert_native.forward(tokens), "gelu tier");
 }
 
 // ---- The act-quant kernel: every tier equals the portable reference ----
@@ -508,6 +532,125 @@ TEST(ActQuant, EveryTierMatchesPortableOnSeededRandomRows) {
     if (::testing::Test::HasFailure()) break;
   }
   EXPECT_GT(compared, 0);
+}
+
+// ---- The gelu kernel: every tier equals the scalar definition ----
+//
+// Each registered tier the CPU can run is pinned by name and compared with
+// kernels::gelu_element (the fdlibm tanhf port) bit for bit, any NaN
+// matching any NaN. The inputs cover a strided sweep of all 2^32 bit
+// patterns, windows around every branch point of the port, the IEEE
+// specials, and every tail length of the 8-lane tier.
+
+std::vector<const kernels::GeluImpl*> gelu_tiers() {
+  std::vector<const kernels::GeluImpl*> tiers;
+  for (const char* name : {"portable", "avx2"}) {
+    if (const kernels::GeluImpl* impl = kernels::find_gelu_impl(name)) tiers.push_back(impl);
+  }
+  return tiers;
+}
+
+bool same_bits(float a, float b) {
+  return (std::isnan(a) && std::isnan(b)) ||
+         std::bit_cast<std::uint32_t>(a) == std::bit_cast<std::uint32_t>(b);
+}
+
+// Runs xs through every tier; returns the number of mismatches (the first
+// few are reported).
+std::int64_t gelu_tier_mismatches(const std::vector<float>& xs, const std::string& what) {
+  std::int64_t bad = 0;
+  std::vector<float> y(xs.size());
+  for (const kernels::GeluImpl* impl : gelu_tiers()) {
+    impl->fn(xs.data(), static_cast<std::int64_t>(xs.size()), y.data());
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      const float ref = kernels::gelu_element(xs[i]);
+      if (same_bits(y[i], ref)) continue;
+      if (++bad <= 5) {
+        ADD_FAILURE() << impl->name << " " << what << ": gelu(" << std::hexfloat << xs[i]
+                      << ") = " << y[i] << ", scalar " << ref;
+      }
+    }
+  }
+  return bad;
+}
+
+// The positive x whose tanh argument sqrt(2/pi) (x + 0.044715 x^3) is
+// nearest `u`, by bisection over positive float bit patterns (the
+// argument grows with x).
+float gelu_x_for_tanh_arg(float u) {
+  std::uint32_t lo = 0, hi = 0x7f000000u;
+  while (hi - lo > 1) {
+    const std::uint32_t mid = lo + (hi - lo) / 2;
+    const float x = std::bit_cast<float>(mid);
+    const float arg = kernels::kGeluSqrt2OverPi * (x + kernels::kGeluCubic * x * x * x);
+    (arg < u ? lo : hi) = mid;
+  }
+  return std::bit_cast<float>(hi);
+}
+
+TEST(Gelu, EveryTierMatchesTheScalarDefinition) {
+  ASSERT_NE(kernels::find_gelu_impl("portable"), nullptr);
+  if (isa::features().avx2) {
+    ASSERT_NE(kernels::find_gelu_impl("avx2"), nullptr);
+  }
+  std::vector<float> xs;
+
+  // A strided sweep over all 2^32 bit patterns (the stride is odd, so
+  // every exponent and both signs are visited).
+  for (std::uint64_t b = 0; b < (std::uint64_t{1} << 32); b += 2053) {
+    xs.push_back(std::bit_cast<float>(static_cast<std::uint32_t>(b)));
+  }
+  EXPECT_EQ(gelu_tier_mismatches(xs, "sweep"), 0);
+
+  // +-2048 ulps of x around each branch point of the port, on both signs.
+  // For tanh's |u|: 2^-55 (tanh(u) = u), 1 (which expm1 argument) and 22
+  // (saturation). For expm1's argument w = -+2|u|: 2^-25 (expm1(w) = w),
+  // 0.5 ln2 and 1.5 ln2 (k = 0 / -1 / -2), the k = -2/-3 rounding edge at
+  // 2.5 ln2, and the k = 22/23 and 56/57 edges (22.5 and 56.5 ln2).
+  const float ln2 = std::log(2.0f);
+  const float branch_u[] = {std::ldexp(1.0f, -55), 1.0f, 22.0f, std::ldexp(1.0f, -26),
+                            0.25f * ln2, 0.75f * ln2, 1.25f * ln2, 11.25f * ln2,
+                            28.25f * ln2};
+  xs.clear();
+  for (const float u : branch_u) {
+    const auto center = std::bit_cast<std::int32_t>(gelu_x_for_tanh_arg(u));
+    for (std::int32_t d = -2048; d <= 2048; ++d) {
+      const float x = std::bit_cast<float>(center + d);
+      xs.push_back(x);
+      xs.push_back(-x);
+    }
+  }
+  EXPECT_EQ(gelu_tier_mismatches(xs, "branch windows"), 0);
+
+  // Signed zeros, denormals, infinities, NaNs (quiet and signalling, both
+  // signs), and x whose cube overflows (|x| beyond ~2e13).
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kMax = std::numeric_limits<float>::max();
+  xs = {0.0f, -0.0f, kInf, -kInf, std::numeric_limits<float>::quiet_NaN(),
+        -std::numeric_limits<float>::quiet_NaN(), std::numeric_limits<float>::signaling_NaN(),
+        std::bit_cast<float>(0xffc00001u), kMax, -kMax, 2e13f, -2e13f, 1e20f, -1e20f,
+        std::numeric_limits<float>::min(), -std::numeric_limits<float>::min()};
+  for (std::uint32_t b = 1; b < 0x00800000u; b = b * 3 + 1) {
+    xs.push_back(std::bit_cast<float>(b));
+    xs.push_back(-std::bit_cast<float>(b));
+  }
+  EXPECT_EQ(gelu_tier_mismatches(xs, "specials"), 0);
+
+  // Every length 1..17, so each tail of the 8-lane tier runs; nothing
+  // past n is written.
+  Rng rng(57);
+  std::vector<float> src(17);
+  for (float& v : src) v = static_cast<float>(rng.normal(0.0, 4.0));
+  for (const kernels::GeluImpl* impl : gelu_tiers()) {
+    for (std::int64_t n = 1; n <= 17; ++n) {
+      std::vector<float> y(static_cast<std::size_t>(n) + 8, -7.0f);
+      impl->fn(src.data(), n, y.data());
+      for (std::size_t i = 0; i < y.size(); ++i) {
+        const float want = i < static_cast<std::size_t>(n) ? kernels::gelu_element(src[i]) : -7.0f;
+        EXPECT_TRUE(same_bits(y[i], want)) << impl->name << " n=" << n << " i=" << i;
+      }
+    }
+  }
 }
 
 // ---- The fp32 GEMM microkernel rides the same registry ----

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -373,10 +374,13 @@ TEST(TransformerRunner, RejectsBrokenSequencePrograms) {
 }
 
 TEST(TransformerRunner, ForcedTierOutputsBitIdenticalAcrossTiers) {
-  // The integer datapath promises the same bits on every kernel tier; the
-  // sequence ops (embed, layernorm, attention score/context, softmax,
-  // gelu) run in scalar fp32 and must not break that. Each tier gets a
-  // freshly-constructed runner (dispatch binds at load).
+  // The integer datapath promises the same bits on every kernel tier, and
+  // so must the sequence ops between the GEMMs: embed, layernorm and
+  // softmax run in scalar fp32, attention's score and context products on
+  // the fp32 GEMM microkernel (every tier rounds each multiply-add once),
+  // and GELU on the gelu kernel (every tier reproduces the scalar
+  // definition). Each tier gets a freshly-constructed runner (dispatch
+  // binds at load).
   const std::vector<std::int64_t> lens{3, 17, 32};
   std::optional<Tensor> baseline;
   for (const TierCase& tier : kTiers) {
@@ -395,6 +399,69 @@ TEST(TransformerRunner, ForcedTierOutputsBitIdenticalAcrossTiers) {
       }
     }
   }
+}
+
+TEST(TransformerRunner, ForcedTierBitIdenticalOnRandomBiasesBetasAndRows) {
+  // The committed package's Linear biases and layernorm betas are all
+  // zero, and its attention products stay below the fp32 GEMM's direct-
+  // loop threshold (m n k < 32 Ki: dim 32 over 4 heads, 32 tokens). This
+  // property runs seeded normal biases and betas and random rows of 1 to
+  // max_seq tokens through every tier, on the tiny_bert geometry and on a
+  // wider one (dim 64 over 2 heads, 48 tokens) whose score and context
+  // products of 32 tokens or more take the blocked GEMM and its tier-
+  // resolved microkernel. A tier that rounds a product and its sum apart
+  // instead of fusing them flips activation codes there.
+  TransformerConfig wide = tiny_bert_config();
+  wide.dim = 64;
+  wide.heads = 2;
+  wide.max_len = 48;
+  int compared = 0;
+  for (const TransformerConfig& config : {tiny_bert_config(), wide}) {
+    const QuantizedModelPackage base = transformer_package(config, MacConfig::parse("4/8/6/10"));
+    const std::int64_t t = base.max_seq;
+    for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+      for (const double sigma : {0.0, 0.5, 1.0}) {
+        QuantizedModelPackage pkg = base;
+        Rng rng(seed);
+        if (sigma > 0.0) {
+          for (auto& [name, l] : pkg.layers) {
+            l.bias.resize(static_cast<std::size_t>(l.weights.rows));
+            for (float& b : l.bias) b = static_cast<float>(rng.normal(0.0, sigma));
+          }
+          for (auto& [name, ln] : pkg.norms) {
+            for (float& b : ln.beta) b = static_cast<float>(rng.normal(0.0, sigma));
+          }
+        }
+        std::vector<std::int64_t> lens(16);
+        for (std::int64_t& l : lens) {
+          l = 1 + static_cast<std::int64_t>(rng.uniform_u64(static_cast<std::uint64_t>(t)));
+        }
+        const Tensor batch = padded_tokens(lens, t, config.vocab, seed + 1000);
+        std::optional<Tensor> baseline;
+        for (const TierCase& tier : kTiers) {
+          if (!tier.available()) continue;
+          EnvIsa e(tier.env);
+          const Tensor y = QuantizedModelRunner(pkg).forward(batch);
+          if (!baseline) {
+            baseline.emplace(y);  // portable, always first
+            continue;
+          }
+          ++compared;
+          ASSERT_EQ(baseline->numel(), y.numel());
+          std::int64_t differ = 0;
+          for (std::int64_t i = 0; i < y.numel(); ++i) {
+            differ += std::bit_cast<std::uint32_t>((*baseline)[i]) !=
+                      std::bit_cast<std::uint32_t>(y[i]);
+          }
+          EXPECT_EQ(differ, 0) << "dim " << config.dim << " tier "
+                               << (tier.env ? tier.env : "native") << " seed " << seed
+                               << " sigma " << sigma << ": " << differ << " of " << y.numel()
+                               << " outputs differ from the portable tier";
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 0);
 }
 
 // ---- The serving session: door validation and mixed-length batching ---

@@ -8,13 +8,14 @@
 // With --kernels, additionally resolve the package against the kernel
 // dispatch registry (as a deployment would at load time) and print the
 // implementation each layer's primitive bound to — op, ISA tier, panel,
-// accumulator and activation-quantizer kernel names — under the current
-// CPU and VSQ_ISA cap.
+// accumulator and activation-quantizer kernel names — and, for programs
+// with GELU steps, the gelu kernel, under the current CPU and VSQ_ISA cap.
 //
 //   vsq_inspect --package=artifacts/resnet_int.vsqa [--threads=N] [--kernels]
 //
 // An unknown flag (--kernles) or a positional argument (the package path
 // without --package=) is a usage error: exit 2, nothing printed to stdout.
+// A package that cannot be read exits 1 with one line on stderr.
 #include <iostream>
 #include <map>
 #include <optional>
@@ -32,9 +33,15 @@ int main(int argc, char** argv) {
   if (!apply_threads_flag(args)) return 1;
   const std::string path = args.get_str("package", "artifacts/resnet_int.vsqa");
   const bool show_kernels = args.get_flag("kernels");
-  if (!reject_unknown_flags("vsq_inspect", args)) return 2;
+  if (!reject_bad_flags("vsq_inspect", args)) return 2;
 
-  const QuantizedModelPackage pkg = QuantizedModelPackage::load(path);
+  QuantizedModelPackage pkg;
+  try {
+    pkg = QuantizedModelPackage::load(path);
+  } catch (const std::exception& e) {
+    std::cerr << "vsq_inspect: " << e.what() << "\n";
+    return 1;
+  }
   std::cout << "package " << path << ": " << pkg.layers.size() << " layers";
   if (pkg.in_h > 0) {
     std::cout << ", input " << pkg.in_h << "x" << pkg.in_w << "x" << pkg.in_c << " NHWC";
@@ -150,6 +157,7 @@ int main(int argc, char** argv) {
                            : "-"});
     }
     kt.print(std::cout);
+    if (const char* gelu = runner.gelu_name()) std::cout << "\ngelu kernel: " << gelu << "\n";
     if (total_baseline > 0) {
       std::cout << "\npacked panels resident: "
                 << Table::num(static_cast<double>(total_resident) / 1024.0, 1) << " KiB ("

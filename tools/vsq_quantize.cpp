@@ -8,8 +8,9 @@
 //
 // --threads=N pins the global thread pool (0 = hardware concurrency; the
 // VSQ_THREADS environment variable is the fallback) so benchmark runs are
-// reproducible on shared machines. An unknown flag or a positional
-// argument is a usage error (exit 2, nothing exported).
+// reproducible on shared machines. An unknown flag, a malformed value
+// (--config=bogus, --vector=abc) or a positional argument is a usage
+// error (exit 2, nothing exported).
 //
 // --model=tiny is a randomly-initialized 2-layer MLP and --model=tiny_conv
 // a randomly-initialized tiny residual CNN; neither needs a trained
@@ -35,14 +36,14 @@ int main(int argc, char** argv) {
   const Args& args = *parsed;
   if (!apply_threads_flag(args)) return 1;
   const std::string which = args.get_str("model", "resnet");
-  MacConfig mac = MacConfig::parse(args.get_str("config", "4/8/6/10"));
+  MacConfig mac = args.get_parsed("config", MacConfig::parse("4/8/6/10"), MacConfig::parse);
   mac.vector_size = args.get_int("vector", 16);
   mac.act_unsigned = which == "resnet" || which == "tiny_conv";
   // Resolved lazily so --model=tiny with an explicit --out never touches
   // the artifacts directory.
   std::string out = args.get_str("out", "");
   // A mistyped flag (--confg) must not export a package at the default.
-  if (!reject_unknown_flags("vsq_quantize", args)) return 2;
+  if (!reject_bad_flags("vsq_quantize", args)) return 2;
 
   QuantizedModelPackage pkg;
   if (which == "tiny") {

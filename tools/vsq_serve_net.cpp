@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
   net_cfg.host = args.get_str("host", "127.0.0.1");
   net_cfg.port = args.get_int("port", 0);
   net_cfg.max_connections = std::max(1, args.get_int("max-connections", 64));
-  if (!reject_unknown_flags("vsq_serve_net", args)) return 2;
+  if (!reject_bad_flags("vsq_serve_net", args)) return 2;
 
   std::vector<ServingModelSpec> models;
   try {

@@ -175,7 +175,7 @@ int main(int argc, char** argv) {
   cfg.scale_product_bits = args.get_int("scale-bits", -1);
   cfg.queue_depth = static_cast<std::size_t>(std::max(0, args.get_int("queue-depth", 0)));
   cfg.admission_timeout_us = args.get_int("admission-timeout-us", -1);
-  if (!reject_unknown_flags("vsq_soak", args)) return 2;
+  if (!reject_bad_flags("vsq_soak", args)) return 2;
   if (chaos && external) {
     std::cerr << "vsq_soak: --chaos injects in-process failpoints and cannot target an "
                  "external server (--connect)\n";

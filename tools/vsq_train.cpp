@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   if (!apply_threads_flag(args)) return 1;
   const std::string which = args.get_str("model", "all");
   const bool force = args.get_flag("force");
-  if (!reject_unknown_flags("vsq_train", args)) return 2;
+  if (!reject_bad_flags("vsq_train", args)) return 2;
 
   ModelZoo zoo(artifacts_dir());
   const auto maybe_remove = [&](const char* ckpt) {
