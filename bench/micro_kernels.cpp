@@ -1,9 +1,12 @@
 // google-benchmark microbenchmarks of the library's kernels: GEMM,
 // per-vector fake quantization (single- and two-level), the bit-accurate
-// integer GEMM and PE datapath, and fp16 scale rounding.
+// integer GEMM and PE datapath, each int-panel kernel, and fp16 scale
+// rounding.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <utility>
@@ -21,6 +24,7 @@
 #include "tensor/gemm.h"
 #include "util/fp16.h"
 #include "util/rng.h"
+#include "util/scratch.h"
 
 namespace {
 
@@ -350,6 +354,74 @@ const int kGeluBenches = [] {
   for (const std::string& t : tiers) {
     benchmark::RegisterBenchmark(("BM_Gelu/isa:" + t + "/10752").c_str(), bm_gelu_isa, t,
                                  std::int64_t{10752});
+  }
+  return 0;
+}();
+
+// ---- int-panel kernels, one at a time ----
+//
+// Each built-in int-panel kernel, pinned by name, on one activation row x
+// one weight panel: the call the integer GEMM and conv row loops make per
+// (row, panel), and the measurements behind the preference list in
+// kernels/registry.h. V=16 with 4-bit weights and s8 activations; 27
+// columns is the tiny_conv stem (3x3x3 patches, so the last vector is
+// odd), 72 a tiny_conv 3x3 conv (3x3x8), 256 the tiny MLP's fc1. A kernel
+// registers only where it is built in and eligible for the shape.
+// Operands are zero: no kernel's control flow depends on the data.
+// items = MACs.
+void bm_int_panel(benchmark::State& state, const kernels::IntPanelImpl* impl,
+                  std::int64_t cols) {
+  constexpr std::int64_t kV = 16, kPnr = kernels::kPanelCols;
+  std::vector<kernels::VecRange> vr;
+  std::int64_t quad_cols = 0;
+  for (std::int64_t c0 = 0; c0 < cols; c0 += kV) {
+    const std::int64_t len = std::min(kV, cols - c0);
+    vr.push_back({static_cast<std::int32_t>(c0), static_cast<std::int32_t>(len)});
+    quad_cols += (len + 3) / 4 * 4;
+  }
+  const auto nvec = static_cast<std::int64_t>(vr.size());
+  // Zeroed 64-byte-aligned buffers (the AVX2 kernels load aligned); the
+  // panel is sized for the widest layout, int16 [c][j] or quad-i8 with
+  // each vector padded to a multiple of 4.
+  ScratchArena arena;
+  const auto zeros = [&arena](std::int64_t bytes) {
+    void* p = arena.alloc(static_cast<std::size_t>(bytes));
+    std::memset(p, 0, static_cast<std::size_t>(bytes));
+    return p;
+  };
+  kernels::PanelArgs a;
+  a.wp = zeros(std::max<std::int64_t>(cols * 2, quad_cols) * kPnr);
+  a.arow = static_cast<const std::int16_t*>(zeros(cols * 2));
+  a.arow8 = static_cast<const std::uint8_t*>(zeros(cols + 4));
+  a.ncomp = static_cast<const std::int32_t*>(zeros(nvec * kPnr * 4));
+  a.vcomp = static_cast<const std::int32_t*>(zeros(nvec * 4));
+  a.vr = vr.data();
+  a.nvec = nvec;
+  a.wbits = 4;
+  a.dp = static_cast<std::int32_t*>(zeros(nvec * kPnr * 4));
+  for (auto _ : state) {
+    impl->fn(a);
+    benchmark::DoNotOptimize(a.dp);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * cols * kPnr);
+}
+
+const int kIntPanelBenches = [] {
+  for (const char* name : {"avx512_vnni_sub4", "avx2_sub4_madd", "avx2_sub", "portable_sub",
+                           "avx512_vnni", "avx2_madd", "avx2", "portable"}) {
+    const kernels::IntPanelImpl* impl = kernels::find_int_panel_impl(name);
+    if (impl == nullptr) continue;
+    for (const std::int64_t cols : {27, 72, 256}) {
+      kernels::KernelDesc d;
+      d.shape = {16, cols % 2 == 0};  // V=16: every vector is even iff cols is
+      d.quant.act = {8, true};
+      d.quant.wgt = {4, true};
+      if (impl->eligible != nullptr && !impl->eligible(d)) continue;
+      benchmark::RegisterBenchmark(
+          ("BM_IntPanel/impl:" + std::string(name) + "/cols:" + std::to_string(cols)).c_str(),
+          bm_int_panel, impl, cols);
+    }
   }
   return 0;
 }();

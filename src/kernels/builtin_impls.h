@@ -1,7 +1,8 @@
 // Internal to src/kernels/: the built-in implementation sets the registry
 // installs on first use. Each list contains only what the running CPU can
-// execute (SIMD entries are added behind isa::features() checks), so the
-// resolver never needs to re-probe.
+// execute (SIMD entries are left out when isa::features() lacks them), so
+// the resolver never needs to re-probe. The int-panel list is in
+// preference order (registry.h).
 #pragma once
 
 #include <vector>

@@ -511,31 +511,39 @@ __attribute__((target("avx2"))) void panel_acc_avx2(const std::int32_t* dp,
 
 }  // namespace
 
+// The int-panel preference list: resolve_int_panel binds the first entry
+// that is under the VSQ_ISA cap and eligible (registry.h gives the order
+// and its measurements). Sub-byte layouts first, then byte-width, each
+// fastest first; the plain portable loop ends the list and is always
+// eligible. Entries above the CPU's tier are left out.
 std::vector<IntPanelImpl> builtin_int_panel_impls() {
-  std::vector<IntPanelImpl> impls;
-  impls.push_back({"portable", isa::Tier::kPortable, PanelLayout::kPlain,
-                   RowImage::kNone, nullptr, int_panel_portable});
-  impls.push_back({"portable_sub", isa::Tier::kPortable, PanelLayout::kBitPacked,
-                   RowImage::kNone, bitpacked_eligible, int_panel_portable_sub});
+  const IntPanelImpl preference[] = {
 #if VSQ_KERNELS_X86
-  const isa::Features& f = isa::features();
-  if (f.avx2) {
-    impls.push_back({"avx2", isa::Tier::kAvx2, PanelLayout::kPlain,
-                     RowImage::kNone, nullptr, int_panel_avx2});
-    impls.push_back({"avx2_madd", isa::Tier::kAvx2, PanelLayout::kPairInterleaved,
-                     RowImage::kNone, madd_eligible, int_panel_avx2_madd});
-    impls.push_back({"avx2_sub", isa::Tier::kAvx2, PanelLayout::kBitPacked,
-                     RowImage::kNone, bitpacked_eligible, int_panel_avx2_sub});
-    impls.push_back({"avx2_sub4_madd", isa::Tier::kAvx2, PanelLayout::kNibblePair,
-                     RowImage::kNone, nibble_pair_eligible, int_panel_avx2_sub4_madd});
-  }
-  if (f.avx512_vnni) {
-    impls.push_back({"avx512_vnni", isa::Tier::kAvx512Vnni, PanelLayout::kQuadInt8,
-                     RowImage::kBiasedU8, vnni_eligible, int_panel_vnni});
-    impls.push_back({"avx512_vnni_sub4", isa::Tier::kAvx512Vnni, PanelLayout::kNibbleQuad,
-                     RowImage::kSignedI8, nibble_quad_eligible, int_panel_vnni_sub4});
-  }
+      {"avx512_vnni_sub4", isa::Tier::kAvx512Vnni, PanelLayout::kNibbleQuad,
+       RowImage::kSignedI8, nibble_quad_eligible, int_panel_vnni_sub4},
+      {"avx2_sub4_madd", isa::Tier::kAvx2, PanelLayout::kNibblePair, RowImage::kNone,
+       nibble_pair_eligible, int_panel_avx2_sub4_madd},
+      {"avx2_sub", isa::Tier::kAvx2, PanelLayout::kBitPacked, RowImage::kNone,
+       bitpacked_eligible, int_panel_avx2_sub},
 #endif
+      {"portable_sub", isa::Tier::kPortable, PanelLayout::kBitPacked, RowImage::kNone,
+       bitpacked_eligible, int_panel_portable_sub},
+#if VSQ_KERNELS_X86
+      {"avx512_vnni", isa::Tier::kAvx512Vnni, PanelLayout::kQuadInt8, RowImage::kBiasedU8,
+       vnni_eligible, int_panel_vnni},
+      {"avx2_madd", isa::Tier::kAvx2, PanelLayout::kPairInterleaved, RowImage::kNone,
+       madd_eligible, int_panel_avx2_madd},
+      {"avx2", isa::Tier::kAvx2, PanelLayout::kPlain, RowImage::kNone, nullptr,
+       int_panel_avx2},
+#endif
+      {"portable", isa::Tier::kPortable, PanelLayout::kPlain, RowImage::kNone, nullptr,
+       int_panel_portable},
+  };
+  const isa::Tier top = isa::max_cpu_tier();
+  std::vector<IntPanelImpl> impls;
+  for (const IntPanelImpl& impl : preference) {
+    if (static_cast<int>(impl.tier) <= static_cast<int>(top)) impls.push_back(impl);
+  }
   return impls;
 }
 

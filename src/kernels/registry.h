@@ -21,20 +21,44 @@
 //               integer GEMMs)
 //   fp-micro    the MR x NR register-tile microkernel of the fp32 GEMM
 //
-// Implementations register with an ISA tier (kernels/isa.h) and an
-// eligibility predicate over the descriptor; resolution picks the highest
-// tier the CPU (and the VSQ_ISA cap) allows. Every tier computes EXACTLY
-// the same arithmetic — integer kernels are exact, fp-micro tiers share
-// one accumulation order and round each multiply-add once, and the
-// act-quant and gelu tiers perform their scalar definition's IEEE
-// operations lane for lane — so dispatch can change speed, never results.
-// When several int-panel implementations are eligible for a shape, a
-// cached micro-benchmark on synthetic operands of that shape class breaks
-// the tie; act-quant, gelu and fp-micro resolve by tier alone.
+// Implementations carry an ISA tier (kernels/isa.h) and an eligibility
+// predicate over the descriptor. Every tier computes EXACTLY the same
+// arithmetic — integer kernels are exact, fp-micro tiers share one
+// accumulation order and round each multiply-add once, and the act-quant
+// and gelu tiers perform their scalar definition's IEEE operations lane
+// for lane — so dispatch can change speed, never results. panel-acc,
+// act-quant, gelu and fp-micro resolve to the highest tier the CPU (and
+// the VSQ_ISA cap) allows.
 //
-// New backends (sub-byte packing, bitplane kernels, other ISAs) plug in by
-// appending an implementation with register_*_impl; no dispatch site
-// changes.
+// int-panel resolution walks one fixed preference list, as oneDNN walks
+// its implementation list, and takes the first kernel that is under the
+// cap, is eligible for the descriptor, and is not sub-byte when
+// VSQ_PACKED=0:
+//
+//   avx512_vnni_sub4  avx2_sub4_madd  avx2_sub  portable_sub   (sub-byte)
+//   avx512_vnni       avx2_madd       avx2      portable       (byte-width)
+//
+// Sub-byte panels come first, density-first (registry.cpp's
+// packed_enabled gives the trade). Within each family the list is fastest
+// first at every served shape. BM_IntPanel (bench/micro_kernels.cpp), ns
+// per call at V=16 with 4-bit weights and s8 activations, median of 21
+// randomly interleaved repetitions on a 4-vCPU AVX-512 VNNI Xeon VM (GCC
+// 12.2, Release). 27 columns is the tiny_conv stem (odd vectors, so no
+// madd kernel is eligible), 72 a tiny_conv 3x3 conv, 256 the tiny MLP's
+// fc1:
+//
+//   cols  avx512_vnni_sub4  avx2_sub4_madd  avx2_sub  portable_sub
+//    27         13.5               -          41.8        239
+//    72         26.1             43.6         99.7        595
+//   256         83.5              150          346       2152
+//
+//   cols  avx512_vnni  avx2_madd  avx2  portable
+//    27       9.9          -      30.7    73.5
+//    72      24.0        34.8     83.9     186
+//   256      74.3         120      301     692
+//
+// One package therefore binds the same kernels on every load, however
+// busy the host is.
 #pragma once
 
 #include <algorithm>
@@ -54,14 +78,9 @@ struct VecRange {
   std::int32_t len;
 };
 
-// Which primitive a descriptor asks for (carried for introspection).
-enum class OpKind { kIntPanel, kPanelAcc, kFpMicro };
-
-// The shape class of one resolved layer: enough geometry to pick (and
-// micro-benchmark) an implementation, far less than the full operand.
+// The shape class of one resolved layer: the geometry eligibility
+// depends on, far less than the full operand.
 struct ShapeClass {
-  std::int64_t cols = 0;         // reduction length (activation row width)
-  std::int64_t k_out = 0;        // output columns
   std::int64_t max_vec_len = 0;  // longest per-vector dot product
   bool even_vectors = false;     // every vector length even
 };
@@ -87,7 +106,6 @@ struct QuantAttrs {
 };
 
 struct KernelDesc {
-  OpKind op = OpKind::kIntPanel;
   ShapeClass shape;
   QuantAttrs quant;
 };
@@ -290,16 +308,18 @@ struct FpMicroImpl {
 
 // Pick the implementation for a descriptor under the current VSQ_ISA cap
 // (isa::effective_cap(); throws std::invalid_argument on an unknown
-// VSQ_ISA value). The portable tier is always present and always eligible,
-// so resolution cannot fail. Returned references stay valid for the
-// process lifetime. Each call counts one dispatch resolution.
+// VSQ_ISA value): the first eligible int-panel kernel of the preference
+// list above, the highest-tier panel-acc that fits full_bits. The portable
+// tier is always present and always eligible, so resolution cannot fail.
+// Returned references stay valid for the process lifetime. Each call
+// counts one dispatch resolution.
 const IntPanelImpl& resolve_int_panel(const KernelDesc& desc);
 const PanelAccImpl& resolve_panel_acc(const KernelDesc& desc);
 
 // The act-quant, gelu and fp microkernels have no per-layer descriptor
 // (every tier handles every format and shape): the highest tier under the
 // cap wins, cached per VSQ_ISA value, and only a cache miss counts as a
-// dispatch resolution. No micro-benchmark runs.
+// dispatch resolution.
 const ActQuantImpl& resolve_act_quant();
 const GeluImpl& resolve_gelu();
 const FpMicroImpl& resolve_fp_micro();
@@ -319,19 +339,13 @@ const ActQuantImpl& portable_act_quant();
 // happens at package-load time.
 std::uint64_t dispatch_resolutions_total();
 
-// Look up a registered int-panel (act-quant, gelu) implementation by
-// name, nullptr when absent (e.g. "avx512_vnni" on a CPU without it).
-// Introspection for the registry tests, which pin a specific kernel
-// instead of riding the tie-break (or the tier cap); resolution paths
-// never use this.
+// Look up a built-in int-panel (act-quant, gelu) implementation by name,
+// nullptr when absent (e.g. "avx512_vnni" on a CPU without it).
+// Introspection for the registry tests and the kernel benchmarks, which
+// pin a specific kernel instead of riding the preference list (or the
+// tier cap); resolution paths never use this.
 const IntPanelImpl* find_int_panel_impl(const char* name);
 const ActQuantImpl* find_act_quant_impl(const char* name);
 const GeluImpl* find_gelu_impl(const char* name);
-
-// Append an implementation (addresses of registered impls are stable).
-// Built-in tiers self-register on first resolution.
-void register_int_panel_impl(const IntPanelImpl& impl);
-void register_panel_acc_impl(const PanelAccImpl& impl);
-void register_fp_micro_impl(const FpMicroImpl& impl);
 
 }  // namespace vsq::kernels

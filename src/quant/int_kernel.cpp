@@ -68,14 +68,12 @@ void IntWeightPanels::pack(const QuantizedMatrix& wgt, const VectorLayout& layou
   // ask the registry which implementations run. This is the only dispatch
   // this pack (and every row streamed through it) ever performs.
   kernels::KernelDesc desc;
-  desc.op = kernels::OpKind::kIntPanel;
-  desc.shape = {cols_, k_out_, max_len, all_even};
+  desc.shape = {max_len, all_even};
   desc.quant.act = {act.fmt.bits, act.fmt.is_signed};
   desc.quant.wgt = {wgt.fmt.bits, wgt.fmt.is_signed};
   desc.quant.full_bits =
       act.scale_bits + (wgt.two_level ? wgt.two_level->scale_fmt.bits : 0);
   panel_impl_ = &kernels::resolve_int_panel(desc);
-  desc.op = kernels::OpKind::kPanelAcc;
   acc_impl_ = &kernels::resolve_panel_acc(desc);
   acc_fallback_ = kernels::portable_panel_acc().fn;
   act_quant_impl_ = &kernels::resolve_act_quant();

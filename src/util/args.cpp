@@ -4,6 +4,7 @@
 #include <iostream>
 #include <stdexcept>
 
+#include "kernels/isa.h"
 #include "util/thread_pool.h"
 
 namespace vsq {
@@ -62,7 +63,9 @@ bool Args::get_flag(const std::string& name) const {
 
 std::optional<Args> parse_args(const char* tool, int argc, char** argv) {
   try {
-    return Args(argc, argv);
+    Args args(argc, argv);
+    (void)isa::env_cap();  // throws on an unknown VSQ_ISA value
+    return args;
   } catch (const std::invalid_argument& e) {
     std::cerr << tool << ": " << e.what() << "\n";
     return std::nullopt;

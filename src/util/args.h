@@ -51,8 +51,9 @@ T Args::get_parsed(const std::string& name, T def, Parse parse) const {
   }
 }
 
-// The usage gates every CLI tool runs. parse_args reads argv; a malformed
-// argument (a positional one, say) prints "<tool>: <reason>" to stderr
+// The usage gates every CLI tool runs. parse_args reads argv and the
+// VSQ_ISA cap (kernels/isa.h); a malformed argument (a positional one,
+// say) or an unknown VSQ_ISA value prints "<tool>: <reason>" to stderr
 // and returns nullopt. reject_bad_flags, run once the tool has read every
 // flag it knows, prints "<tool>: <flag>: <reason>" for the first
 // malformed value, or else "<tool>: unknown flag --<name>" for the first

@@ -1,7 +1,9 @@
 # End-to-end CLI smoke test: vsq_quantize a small model, then vsq_inspect
-# the exported package (layer table and --kernels), and check that both
-# tools answer usage errors with exit 2 and an unreadable package with
-# exit 1. Invoked from ctest (see tests/CMakeLists.txt) with
+# the exported package (layer table and --kernels), check that every load
+# of a package binds the same kernels, and that both tools answer usage
+# errors (an unknown VSQ_ISA among them) with exit 2 and an unreadable
+# package or unwritable output with exit 1. Invoked from ctest (see
+# tests/CMakeLists.txt) with
 #   -DVSQ_QUANTIZE=<path> -DVSQ_INSPECT=<path> -DWORK_DIR=<scratch dir>
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
@@ -52,6 +54,36 @@ if(NOT out MATCHES "Quantizer")
   message(FATAL_ERROR "vsq_inspect --kernels did not print the quantizer column")
 endif()
 
+# Kernel dispatch is a fixed preference list, not a load-time timing, so
+# every load of one package prints the same --kernels table. tiny_conv at
+# 4/4/4/4 has layers on both sides of the packed VNNI kernel's
+# eligibility (unsigned 4-bit activations after the stem).
+set(CONV_PACKAGE "${WORK_DIR}/tiny_conv_4444.vsqa")
+execute_process(
+  COMMAND "${VSQ_QUANTIZE}" --model=tiny_conv --config=4/4/4/4 --vector=16
+          "--out=${CONV_PACKAGE}"
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out ERROR_VARIABLE out)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "vsq_quantize --model=tiny_conv --config=4/4/4/4 failed with exit code ${rc}:\n${out}")
+endif()
+set(first_table "")
+foreach(load RANGE 1 5)
+  execute_process(
+    COMMAND "${VSQ_INSPECT}" "--package=${CONV_PACKAGE}" --kernels
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE table ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "vsq_inspect --kernels (load ${load}) failed with exit code ${rc}:\n${err}")
+  endif()
+  if(load EQUAL 1)
+    set(first_table "${table}")
+    message(STATUS "vsq_inspect --kernels tiny_conv 4/4/4/4:\n${table}")
+  elseif(NOT table STREQUAL first_table)
+    message(FATAL_ERROR "vsq_inspect --kernels load ${load} printed a different table:\n${table}")
+  endif()
+endforeach()
+
 # Usage errors exit 2 before any work: a mistyped flag must not export a
 # package at the default config, and neither a mistyped --kernels nor a
 # bare package path may pass for a successful inspection.
@@ -89,6 +121,47 @@ foreach(bad_flag "--config=bogus" "--vector=abc" "--vector=16x")
     message(FATAL_ERROR "vsq_quantize wrote ${TYPO_PACKAGE} despite ${bad_flag}")
   endif()
 endforeach()
+
+# An unknown VSQ_ISA value is a usage error in every tool: exit 2 with one
+# line on stderr before any work (no package written, nothing inspected).
+execute_process(
+  COMMAND "${CMAKE_COMMAND}" -E env VSQ_ISA=bogus
+          "${VSQ_QUANTIZE}" --model=tiny "--out=${TYPO_PACKAGE}"
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "VSQ_ISA=bogus vsq_quantize exited with ${rc}, expected the usage error 2:\n${out}${err}")
+endif()
+if(NOT err MATCHES "^vsq_quantize: VSQ_ISA: unknown isa 'bogus'[^\n]*\n$")
+  message(FATAL_ERROR "VSQ_ISA=bogus vsq_quantize did not print one usage line on stderr:\n${err}")
+endif()
+if(EXISTS "${TYPO_PACKAGE}")
+  message(FATAL_ERROR "VSQ_ISA=bogus vsq_quantize wrote ${TYPO_PACKAGE}")
+endif()
+execute_process(
+  COMMAND "${CMAKE_COMMAND}" -E env VSQ_ISA=bogus
+          "${VSQ_INSPECT}" "--package=${PACKAGE}" --kernels
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "VSQ_ISA=bogus vsq_inspect --kernels exited with ${rc}, expected the usage error 2:\n${out}${err}")
+endif()
+if(NOT out STREQUAL "" OR NOT err MATCHES "^vsq_inspect: VSQ_ISA: unknown isa 'bogus'[^\n]*\n$")
+  message(FATAL_ERROR "VSQ_ISA=bogus vsq_inspect --kernels printed more than one usage line:\n${out}${err}")
+endif()
+
+# An output path that cannot be written fails the export (exit 1) with
+# one line on stderr and no "exported" report, not an abort.
+execute_process(
+  COMMAND "${VSQ_QUANTIZE}" --model=tiny "--out=${WORK_DIR}/no_such_dir/x.vsqa"
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 1)
+  message(FATAL_ERROR "vsq_quantize to an unwritable path exited with ${rc}, expected 1:\n${out}${err}")
+endif()
+if(out MATCHES "exported" OR NOT err MATCHES "^vsq_quantize: [^\n]*\n$")
+  message(FATAL_ERROR "vsq_quantize to an unwritable path did not fail with one line on stderr:\n${out}${err}")
+endif()
 
 # A package that cannot be read fails the run (exit 1) with one line on
 # stderr, not an abort.

@@ -13,9 +13,10 @@
 #      to a sequential reference runner; shed counts are cross-checked
 #      client vs server vs registry.
 #   3. Usage errors exit 2: vsq_soak --connect=127.0.0.1: (no port) must
-#      not end in an uncaught exception, and an unknown flag
+#      not end in an uncaught exception, an unknown flag
 #      (vsq_soak --package=, vsq_serve_net --low-lane=) must not be
-#      silently ignored.
+#      silently ignored, and VSQ_ISA=bogus must stop vsq_soak before it
+#      builds a model.
 #
 # Pass/fail rides on exit codes (both tools exit non-zero on any gate
 # failure) plus a few output markers. Invoked from ctest with
@@ -85,4 +86,17 @@ execute_process(
 message(STATUS "vsq_serve_net --low-lane=0.25 output:\n${out}")
 if(NOT rc EQUAL 2)
   message(FATAL_ERROR "vsq_serve_net with the unknown flag --low-lane exited ${rc}, not the usage error 2")
+endif()
+
+execute_process(
+  COMMAND "${CMAKE_COMMAND}" -E env VSQ_ISA=bogus
+          "${VSQ_SOAK}" --builtin=tiny --requests=8
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out ERROR_VARIABLE err)
+message(STATUS "VSQ_ISA=bogus vsq_soak output:\n${out}${err}")
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "VSQ_ISA=bogus vsq_soak exited ${rc}, not the usage error 2")
+endif()
+if(NOT out STREQUAL "" OR NOT err MATCHES "^vsq_soak: VSQ_ISA: unknown isa 'bogus'[^\n]*\n$")
+  message(FATAL_ERROR "VSQ_ISA=bogus vsq_soak did work or printed more than one usage line")
 endif()

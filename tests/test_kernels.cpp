@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <limits>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -52,6 +53,32 @@ class EnvIsa {
   }
   EnvIsa(const EnvIsa&) = delete;
   EnvIsa& operator=(const EnvIsa&) = delete;
+
+ private:
+  std::optional<std::string> prev_;
+};
+
+// Scoped VSQ_PACKED override (same contract as EnvIsa): "0" forces every
+// resolution onto byte-width panels, unset restores the packed preference.
+class EnvPacked {
+ public:
+  explicit EnvPacked(const char* v) {
+    if (const char* prev = std::getenv("VSQ_PACKED")) prev_ = prev;
+    if (v) {
+      setenv("VSQ_PACKED", v, 1);
+    } else {
+      unsetenv("VSQ_PACKED");
+    }
+  }
+  ~EnvPacked() {
+    if (prev_) {
+      setenv("VSQ_PACKED", prev_->c_str(), 1);
+    } else {
+      unsetenv("VSQ_PACKED");
+    }
+  }
+  EnvPacked(const EnvPacked&) = delete;
+  EnvPacked& operator=(const EnvPacked&) = delete;
 
  private:
   std::optional<std::string> prev_;
@@ -192,9 +219,9 @@ const TierCase kTiers[] = {{"portable"}, {"avx2"}, {"avx512_vnni"}, {nullptr}};
 TEST(ForcedTier, GemmBitIdenticalAcrossTiers) {
   // Shapes chosen for the corners dispatch must not change: prime cols
   // (every row ends in a short tail vector), odd V (the madd interleave is
-  // ineligible), and an even power-of-two shape (all SIMD tiers eligible,
-  // the tie-break exercised). Bits 4 and 8 cross the VNNI eligibility
-  // boundary in scale width; scale-product rounding on and off.
+  // ineligible), and an even power-of-two shape (every SIMD kernel
+  // eligible). Bits 4 and 8 pick the sub-byte or the byte-width half of
+  // the preference list; scale-product rounding on and off.
   struct Shape {
     std::int64_t rows, cols, k_out;
     int v;
@@ -675,8 +702,8 @@ TEST(Registry, SameDescriptorResolvesToSameImpl) {
   const detail::IntActAttrs attrs = detail::IntActAttrs::of(ops.act);
   const detail::IntWeightPanels p1(ops.wgt, layout, attrs);
   const detail::IntWeightPanels p2(ops.wgt, layout, attrs);
-  // The tie-break is cached per shape class: two packs of the same
-  // descriptor must agree (same registered implementation object).
+  // Resolution walks one fixed list: two packs of the same descriptor
+  // bind the same built-in implementation object.
   EXPECT_EQ(&p1.panel_impl(), &p2.panel_impl());
   EXPECT_EQ(&p1.acc_impl(), &p2.acc_impl());
 }
@@ -697,7 +724,6 @@ TEST(Registry, SteadyStateForwardsResolveNothing) {
 
 TEST(Registry, PanelAccFallsBackToPortableOnWideScaleProducts) {
   kernels::KernelDesc desc;
-  desc.op = kernels::OpKind::kPanelAcc;
   desc.quant.full_bits = 20;
   const kernels::PanelAccImpl& narrow = kernels::resolve_panel_acc(desc);
   if (isa::features().avx2 && !isa::env_cap().has_value()) {
@@ -709,17 +735,79 @@ TEST(Registry, PanelAccFallsBackToPortableOnWideScaleProducts) {
   EXPECT_STREQ(kernels::resolve_panel_acc(desc).name, "portable");
 }
 
+TEST(Registry, IntPanelResolutionTable) {
+  // The preference list, pinned: V=16 descriptors (odd = a 27-column row,
+  // vectors of 16 and 11) resolved under every available cap, with the
+  // packed preference on and under VSQ_PACKED=0. The expected column is
+  // the effective cap's, so a host without AVX-512 VNNI checks the avx2
+  // column natively. On a VNNI host the table reaches all eight kernels.
+  struct Row {
+    const char* what;
+    int wgt_bits, act_bits;
+    bool act_unsigned, even;
+    const char* want[3][2];  // [cap: portable, avx2, avx512_vnni][packed, VSQ_PACKED=0]
+  };
+  const Row rows[] = {
+      {"s4/s8/even", 4, 8, false, true,
+       {{"portable_sub", "portable"}, {"avx2_sub4_madd", "avx2_madd"},
+        {"avx512_vnni_sub4", "avx512_vnni"}}},
+      {"s4/u8/even", 4, 8, true, true,
+       {{"portable_sub", "portable"}, {"avx2_sub4_madd", "avx2_madd"},
+        {"avx2_sub4_madd", "avx512_vnni"}}},
+      {"s4/s8/odd", 4, 8, false, false,
+       {{"portable_sub", "portable"}, {"avx2_sub", "avx2"}, {"avx512_vnni_sub4", "avx512_vnni"}}},
+      {"s4/u8/odd", 4, 8, true, false,
+       {{"portable_sub", "portable"}, {"avx2_sub", "avx2"}, {"avx2_sub", "avx512_vnni"}}},
+      {"s6/u8/even", 6, 8, true, true,
+       {{"portable_sub", "portable"}, {"avx2_sub", "avx2_madd"}, {"avx2_sub", "avx512_vnni"}}},
+      {"s8/s8/even", 8, 8, false, true,
+       {{"portable", "portable"}, {"avx2_madd", "avx2_madd"}, {"avx512_vnni", "avx512_vnni"}}},
+      {"s8/s8/odd", 8, 8, false, false,
+       {{"portable", "portable"}, {"avx2", "avx2"}, {"avx512_vnni", "avx512_vnni"}}},
+      {"s4/s10/even", 4, 10, false, true,
+       {{"portable_sub", "portable"}, {"avx2_sub4_madd", "avx2_madd"},
+        {"avx2_sub4_madd", "avx2_madd"}}},
+  };
+  std::set<std::string> reached;
+  for (const TierCase& tier : kTiers) {
+    if (!tier.available()) continue;
+    EnvIsa e(tier.env);
+    const auto cap = static_cast<std::size_t>(isa::effective_cap());
+    for (const int packed : {1, 0}) {
+      EnvPacked p(packed ? nullptr : "0");
+      for (const Row& r : rows) {
+        kernels::KernelDesc d;
+        d.shape = {16, r.even};
+        d.quant.act = {r.act_bits, !r.act_unsigned};
+        d.quant.wgt = {r.wgt_bits, true};
+        d.quant.full_bits = 16;
+        const char* got = kernels::resolve_int_panel(d).name;
+        EXPECT_STREQ(got, r.want[cap][packed ? 0 : 1])
+            << r.what << " VSQ_ISA=" << (tier.env ? tier.env : "native")
+            << (packed ? "" : " VSQ_PACKED=0");
+        reached.insert(got);
+      }
+    }
+  }
+  std::size_t built_in = 0;
+  for (const char* name : {"avx512_vnni_sub4", "avx2_sub4_madd", "avx2_sub", "portable_sub",
+                           "avx512_vnni", "avx2_madd", "avx2", "portable"}) {
+    if (kernels::find_int_panel_impl(name) != nullptr) ++built_in;
+  }
+  EXPECT_EQ(reached.size(), built_in);
+}
+
 // ---- The VNNI int8 kernel, pinned directly ----
 //
-// Tier resolution picks VNNI only when the micro-benchmark tie-break
-// favors it, so these tests pin the registered implementation by name:
-// eligibility must draw the documented boundaries, and the kernel must
-// reproduce the scalar dot products exactly on a hand-packed panel.
+// Resolution binds the byte-width VNNI kernel only where no sub-byte
+// kernel is eligible (8-bit weights, or VSQ_PACKED=0), so these tests pin
+// the built-in implementation by name: eligibility must draw the
+// documented boundaries, and the kernel must reproduce the scalar dot
+// products exactly on a hand-packed panel.
 
 kernels::KernelDesc vnni_desc(int act_bits, bool act_signed, std::int64_t max_len) {
   kernels::KernelDesc d;
-  d.op = kernels::OpKind::kIntPanel;
-  d.shape = {max_len * 2, 8, max_len, max_len % 2 == 0};
+  d.shape = {max_len, max_len % 2 == 0};
   d.quant.act = {act_bits, act_signed};
   d.quant.wgt = {8, true};
   d.quant.full_bits = 12;
@@ -819,32 +907,6 @@ TEST(Vnni, QuadKernelMatchesScalarDotProducts) {
 }
 
 // ---- Sub-byte packed layouts: property sweep ----
-
-// Scoped VSQ_PACKED override (same contract as EnvIsa): "0" forces every
-// resolution onto byte-width panels, unset restores the packed preference.
-class EnvPacked {
- public:
-  explicit EnvPacked(const char* v) {
-    if (const char* prev = std::getenv("VSQ_PACKED")) prev_ = prev;
-    if (v) {
-      setenv("VSQ_PACKED", v, 1);
-    } else {
-      unsetenv("VSQ_PACKED");
-    }
-  }
-  ~EnvPacked() {
-    if (prev_) {
-      setenv("VSQ_PACKED", prev_->c_str(), 1);
-    } else {
-      unsetenv("VSQ_PACKED");
-    }
-  }
-  EnvPacked(const EnvPacked&) = delete;
-  EnvPacked& operator=(const EnvPacked&) = delete;
-
- private:
-  std::optional<std::string> prev_;
-};
 
 TEST(PackedSweep, SubByteGemmBitIdenticalToByteWidthPanels) {
   // Property sweep: every packed code width x odd/even vector sizes x

@@ -13,8 +13,9 @@
 //
 //   vsq_inspect --package=artifacts/resnet_int.vsqa [--threads=N] [--kernels]
 //
-// An unknown flag (--kernles) or a positional argument (the package path
-// without --package=) is a usage error: exit 2, nothing printed to stdout.
+// An unknown flag (--kernles), a positional argument (the package path
+// without --package=) or an unknown VSQ_ISA value is a usage error: exit
+// 2, nothing printed to stdout.
 // A package that cannot be read exits 1 with one line on stderr.
 #include <iostream>
 #include <map>

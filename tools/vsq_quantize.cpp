@@ -9,8 +9,9 @@
 // --threads=N pins the global thread pool (0 = hardware concurrency; the
 // VSQ_THREADS environment variable is the fallback) so benchmark runs are
 // reproducible on shared machines. An unknown flag, a malformed value
-// (--config=bogus, --vector=abc) or a positional argument is a usage
-// error (exit 2, nothing exported).
+// (--config=bogus, --vector=abc), a positional argument or an unknown
+// VSQ_ISA value is a usage error (exit 2, nothing exported). An --out
+// path that cannot be written exits 1 with one line on stderr.
 //
 // --model=tiny is a randomly-initialized 2-layer MLP and --model=tiny_conv
 // a randomly-initialized tiny residual CNN; neither needs a trained
@@ -82,7 +83,12 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (out.empty()) out = artifacts_dir() + "/" + which + "_int.vsqa";
-  pkg.save(out);
+  try {
+    pkg.save(out);
+  } catch (const std::exception& e) {
+    std::cerr << "vsq_quantize: " << e.what() << "\n";
+    return 1;
+  }
   std::cout << "exported " << pkg.layers.size() << " layers at config " << mac.str() << " ("
             << mac.granularity_label() << ") -> " << out << "\n";
   return 0;

@@ -20,7 +20,8 @@
 // answers kShed instead of stalling the connection. The startup banner
 // "vsq_serve_net listening on HOST:PORT" is printed (and flushed) once
 // the socket is live, so scripts can scrape the ephemeral port. An
-// unknown flag or a positional argument is a usage error (exit 2).
+// unknown flag, a positional argument or an unknown VSQ_ISA value is a
+// usage error (exit 2).
 #include <atomic>
 #include <csignal>
 #include <cstring>

@@ -75,8 +75,8 @@
 // each distinct input counts once — and the audit line.
 //
 // Exit status: 0 clean, 1 on any bit mismatch (or a model that failed to
-// build/load), 2 on a usage error (an unknown flag or a positional
-// argument included), so CI can gate on it — ctest
+// build/load), 2 on a usage error (an unknown flag, a positional
+// argument or an unknown VSQ_ISA value included), so CI can gate on it — ctest
 // serve_smoke, serve_conv_smoke and serve_bert_smoke run the one-model
 // closed loop above, soak_smoke a short deterministic-seed pass over a
 // 2-model registry, serve_net_smoke the network mode with forced overload

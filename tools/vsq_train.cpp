@@ -6,8 +6,8 @@
 // --force deletes the existing checkpoint first so the model retrains.
 // --threads=N pins the global thread pool (0 = hardware concurrency; the
 // VSQ_THREADS environment variable is the fallback) for reproducible runs
-// on shared machines. An unknown flag or a positional argument is a usage
-// error (exit 2, nothing trained).
+// on shared machines. An unknown flag, a positional argument or an
+// unknown VSQ_ISA value is a usage error (exit 2, nothing trained).
 #include <cstdio>
 #include <iostream>
 #include <optional>
